@@ -259,72 +259,72 @@ def build_parser() -> argparse.ArgumentParser:
                     "spectral experiments.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, handler, help_text):
+    def add(name, handler, help_text, *, fmt=False, seed=False, tol=None):
+        """A subcommand with only the shared flags it uses."""
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(handler=handler)
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--tol", type=float, default=1e-10)
-        p.add_argument("--seed", type=int, default=12345)
+        if fmt:
+            p.add_argument("--format", choices=("json", "csv"), default="json")
+        if tol is not None:
+            p.add_argument("--tol", type=float, default=tol)
+        if seed:
+            p.add_argument("--seed", type=int, default=12345)
         return p
 
-    p = add("epstein", _cmd_epstein, "evaluate Z_r(Q, s)")
+    p = add("epstein", _cmd_epstein, "evaluate Z_r(Q, s)", tol=1e-10)
     p.add_argument("--Q", required=True)
     p.add_argument("--r", type=int)
     p.add_argument("--s", type=_parse_complex, required=True)
 
-    p = add("eisenstein", _cmd_eisenstein, "evaluate E_s(z) on SL2")
+    p = add("eisenstein", _cmd_eisenstein, "evaluate E_s(z) on SL2", tol=1e-10)
     p.add_argument("--z", type=_parse_point, required=True)
     p.add_argument("--s", type=_parse_complex, required=True)
 
-    p = add("kronecker", _cmd_kronecker, "first limit formula residual at z")
+    p = add("kronecker", _cmd_kronecker, "first limit formula residual at z", tol=1e-6)
     p.add_argument("--z", type=_parse_point, required=True)
-    p.set_defaults(tol=1e-6)
 
-    p = add("terras", _cmd_terras, "block limit formula at s = r/2")
+    p = add("terras", _cmd_terras, "block limit formula at s = r/2", tol=1e-4)
     p.add_argument("--Q", required=True)
     p.add_argument("--r", type=int)
     p.add_argument("--ell", type=int, required=True)
-    p.set_defaults(tol=1e-4)
 
-    p = add("heegner", _cmd_heegner, "zeta_K via E_s at the CM point")
+    p = add("heegner", _cmd_heegner, "zeta_K via E_s at the CM point", tol=1e-7)
     p.add_argument("--s", type=_parse_complex, required=True)
     p.add_argument("--D", type=int, required=True)
-    p.set_defaults(tol=1e-7)
 
-    p = add("potential", _cmd_potential, "potential profile q(iy)")
+    p = add("potential", _cmd_potential, "potential profile q(iy)", fmt=True)
     p.add_argument("--t-min", type=float, default=1.0)
     p.add_argument("--t-max", type=float, default=50.0)
     p.add_argument("--count", type=int, default=50)
 
-    p = add("ground-state", _cmd_ground_state, "ground-state residual table")
-    p.set_defaults(tol=1e-4)
+    add("ground-state", _cmd_ground_state, "ground-state residual table",
+        fmt=True, seed=True, tol=1e-4)
 
-    p = add("exotic-roots", _cmd_exotic_roots, "roots of a^w + c_w a^{1-w}")
+    p = add("exotic-roots", _cmd_exotic_roots, "roots of a^w + c_w a^{1-w}", fmt=True)
     p.add_argument("--a", type=float, required=True)
     p.add_argument("--t-min", type=float, default=0.1)
     p.add_argument("--t-max", type=float, default=50.0)
 
-    p = add("spacing", _cmd_spacing, "gap statistics of the exotic roots")
+    p = add("spacing", _cmd_spacing, "gap statistics of the exotic roots", fmt=True)
     p.add_argument("--a", type=float, required=True)
     p.add_argument("--t-min", type=float, default=0.1)
     p.add_argument("--t-max", type=float, default=50.0)
 
-    p = add("greens-check", _cmd_greens_check, "constant-term identity check")
+    p = add("greens-check", _cmd_greens_check, "constant-term identity check", tol=1e-3)
     p.add_argument("--z", type=_parse_point, required=True)
     p.add_argument("--s", type=_parse_complex, required=True,
                    help="the spectral parameter w")
     p.add_argument("--a", type=float, required=True)
     p.add_argument("--T", type=float, default=300.0)
-    p.set_defaults(tol=1e-3)
 
-    p = add("repulsion", _cmd_repulsion, "eigenvalue-condition uniqueness scan")
+    p = add("repulsion", _cmd_repulsion, "eigenvalue-condition uniqueness scan", fmt=True)
     p.add_argument("--D", type=int, required=True)
     p.add_argument("--a", type=float, required=True)
     p.add_argument("--t-min", type=float, default=10.0)
     p.add_argument("--t-max", type=float, default=20.0)
     p.add_argument("--T", type=float, default=120.0)
 
-    p = add("selftest", _cmd_selftest, "run the acceptance criteria")
+    p = add("selftest", _cmd_selftest, "run the acceptance criteria", seed=True)
     p.add_argument("--only", help="comma-separated criterion names")
 
     return parser

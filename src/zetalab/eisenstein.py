@@ -17,7 +17,6 @@
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -77,13 +76,18 @@ def eisenstein_slr(g_gram: np.ndarray, s, tol: float = 1e-10) -> EisensteinValue
                            error_bound=res.error_bound / abs(2.0 * zrs))
 
 
-def c_scattering(s) -> complex:
-    """c_s = xi(2s-1)/xi(2s); |c_s| = 1 on Re s = 1/2 and c_s c_{1-s} = 1."""
-    s = complex(s)
+def c_scattering(s):
+    """c_s = xi(2s-1)/xi(2s); |c_s| = 1 on Re s = 1/2 and c_s c_{1-s} = 1.
+
+    Accepts a scalar (returns a complex) or an array of s (returns an array
+    of the same shape).
+    """
+    s = np.asarray(s, dtype=complex)
     for pole in (0.0, 0.5, 1.0):
-        if abs(s - pole) < 1e-10:
+        if np.any(np.abs(s - pole) < 1e-10):
             raise ZeroDivisionError("c_s undefined where 2s or 2s-1 hits a xi pole")
-    return cmath.exp(complex(specfun.xi_log(2.0 * s - 1.0)) - complex(specfun.xi_log(2.0 * s)))
+    out = np.exp(np.asarray(specfun.xi_log(2.0 * s - 1.0)) - np.asarray(specfun.xi_log(2.0 * s)))
+    return complex(out) if s.ndim == 0 else out
 
 
 def e1_star(z) -> float:
@@ -94,19 +98,11 @@ def e1_star(z) -> float:
                             - 0.5 * math.log(w.imag) - 2.0 * math.log(abs(eta)))
 
 
-def kronecker_constant(z) -> float:
-    """Closed form 2 pi (gamma - log 2 - log(sqrt y |eta|^2)) of the s=1 limit."""
-    w = lattice.as_point(z)
-    eta = specfun.dedekind_eta(w)
-    return 2.0 * math.pi * (EULER_GAMMA - math.log(2.0)
-                            - math.log(math.sqrt(w.imag) * abs(eta) ** 2))
-
-
 def kronecker_limit_check(z) -> float:
     """|a_0 - closed form| for the Laurent expansion of Z_2(Q_z, s) at s=1."""
     w = lattice.as_point(z)
     exp = epstein.epstein_laurent(lattice.gram_of_point(w), 1.0, max_order=0)
-    return abs(exp.coefficient(0) - kronecker_constant(w))
+    return abs(exp.coefficient(0) - math.pi ** 2 / 3.0 * e1_star(w))
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +118,7 @@ def _limit_dim2(A: np.ndarray) -> float:
     """lim_{s->1}(Z_2(A, s) - pi/(sqrt(det A)(s-1))) via Kronecker + scaling."""
     c = math.sqrt(float(np.linalg.det(A)))
     z = lattice.point_of_gram(A)
-    return (kronecker_constant(z) - math.pi * math.log(c)) / c
+    return (math.pi ** 2 / 3.0 * e1_star(z) - math.pi * math.log(c)) / c
 
 
 def _enum_with_values(M: np.ndarray, R: float):

@@ -114,12 +114,11 @@ def epstein_zeta(Q: np.ndarray, s, tol: float = 1e-10) -> EvalResult:
     Z_r(cQ, s) = c^{-s} Z_r(Q, s).  Raises :class:`EpsteinPoleError` within
     1e-6 of s = 0 or s = r/2.
     """
-    Q = lattice.validate_gram(Q)
-    r = Q.shape[0]
+    Qn, scale = lattice.normalize_det(Q)
+    r = Qn.shape[0]
     s = complex(s)
     if abs(s) < 1e-6 or abs(s - r / 2.0) < 1e-6:
         raise EpsteinPoleError(f"s={s} too close to a pole/zero of the bracket (0 or r/2)")
-    Qn, scale = lattice.normalize_det(Q)
     Qi = np.linalg.inv(Qn)
     x_cut = max(30.0, 3.0 * abs(s), 1.2 * -math.log(max(tol, 1e-300)))
 
@@ -143,10 +142,9 @@ def check_functional_equation(Q: np.ndarray, s) -> float:
     Lambda(s) = pi^{-s} Gamma(s) Z_r(Q, s) with det-1 normalization, the
     dual side using Q^{-1} at r/2 - s.
     """
-    Q = lattice.validate_gram(Q)
-    r = Q.shape[0]
-    s = complex(s)
     Qn, _ = lattice.normalize_det(Q)
+    r = Qn.shape[0]
+    s = complex(s)
     Qi = np.linalg.inv(Qn)
     lam = cmath.exp(-s * math.log(math.pi) + specfun.log_gamma(s)) * epstein_zeta(Qn, s).value
     sd = r / 2.0 - s

@@ -62,7 +62,8 @@ def as_point(z) -> complex:
     return w
 
 
-def validate_gram(Q: np.ndarray) -> np.ndarray:
+def _factor(Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Check a Gram matrix; return it symmetrized with its Cholesky factor."""
     Q = np.asarray(Q, dtype=float)
     if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
         raise ValueError("Gram matrix must be square")
@@ -73,25 +74,24 @@ def validate_gram(Q: np.ndarray) -> np.ndarray:
         raise ValueError("Gram matrix must be symmetric")
     Q = 0.5 * (Q + Q.T)
     try:
-        np.linalg.cholesky(Q)
+        return Q, np.linalg.cholesky(Q)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefiniteError(str(exc)) from exc
-    return Q
+
+
+def validate_gram(Q: np.ndarray) -> np.ndarray:
+    """The symmetrized Gram matrix; raises unless it is a valid SPD form."""
+    return _factor(Q)[0]
 
 
 def cholesky(Q: np.ndarray) -> np.ndarray:
     """Lower-triangular L with L L^T = Q; raises if not positive-definite."""
-    Q = validate_gram(Q)
-    try:
-        return np.linalg.cholesky(Q)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefiniteError(str(exc)) from exc
+    return _factor(Q)[1]
 
 
 def normalize_det(Q: np.ndarray) -> tuple[np.ndarray, float]:
     """Return (Q / det^{1/r}, det^{1/r}); the first factor has det 1."""
     Q = validate_gram(Q)
-    cholesky(Q)  # positivity check
     r = Q.shape[0]
     scale = float(np.linalg.det(Q)) ** (1.0 / r)
     return Q / scale, scale
@@ -192,10 +192,9 @@ def gram_of_point(z) -> np.ndarray:
 
 def point_of_gram(Q: np.ndarray) -> complex:
     """Inverse of gram_of_point for a det-1 binary form."""
-    Q = validate_gram(Q)
-    if Q.shape[0] != 2:
-        raise ValueError("point_of_gram needs a binary form")
     Qn, _ = normalize_det(Q)
+    if Qn.shape[0] != 2:
+        raise ValueError("point_of_gram needs a binary form")
     y = 1.0 / Qn[1, 1]
     x = Qn[0, 1] / Qn[1, 1]
     return complex(x, y)

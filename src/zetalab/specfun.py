@@ -223,16 +223,20 @@ def riemann_zeta(s):
     return _wrap(out.reshape(arr.shape), scalar)
 
 
-def _zeta_em(s: np.ndarray) -> np.ndarray:
-    N = _em_cutoff(s)
-    n = np.arange(1, N, dtype=float)
+def _em_sum(s: np.ndarray, a: float, N: int) -> np.ndarray:
+    """sum_{k < N} (k + a)^(-s) plus the Euler-Maclaurin tail at base N + a."""
+    n = np.arange(0, N, dtype=float) + a
     # chunk the outer product to bound memory on long node lists
     out = np.empty_like(s)
     for lo in range(0, s.size, 2048):
         hi = min(lo + 2048, s.size)
-        sc = s[lo:hi]
-        out[lo:hi] = np.sum(n[:, None] ** (-sc[None, :]), axis=0)
-    return out + _em_terms(s, np.full_like(s, float(N)))
+        out[lo:hi] = np.sum(n[:, None] ** (-s[lo:hi][None, :]), axis=0)
+    return out + _em_terms(s, np.full_like(s, float(N) + a))
+
+
+def _zeta_em(s: np.ndarray) -> np.ndarray:
+    # the Hurwitz sum at a = 1 with one term fewer: n = 1 .. N-1, tail at N
+    return _em_sum(s, 1.0, _em_cutoff(s) - 1)
 
 
 def hurwitz_zeta(s, a: float):
@@ -244,14 +248,7 @@ def hurwitz_zeta(s, a: float):
     z = arr.reshape(-1)
     if np.any(np.abs(z - 1.0) < 1e-12):
         raise ZeroDivisionError("hurwitz zeta has a pole at s=1")
-    N = _em_cutoff(z)
-    n = np.arange(0, N, dtype=float) + a
-    out = np.empty_like(z)
-    for lo in range(0, z.size, 2048):
-        hi = min(lo + 2048, z.size)
-        sc = z[lo:hi]
-        out[lo:hi] = np.sum(n[:, None] ** (-sc[None, :]), axis=0)
-    out = out + _em_terms(z, np.full_like(z, float(N) + a))
+    out = _em_sum(z, a, _em_cutoff(z))
     return _wrap(out.reshape(arr.shape), scalar)
 
 
@@ -262,14 +259,6 @@ _CHARACTER_TABLE = {
     -8: (8, [0, 1, 0, 1, 0, -1, 0, -1]),
     -11: (11, [0, 1, -1, 1, 1, 1, -1, -1, -1, 1, -1]),
 }
-
-
-def quadratic_character(D: int, n: int) -> int:
-    """Kronecker symbol chi_D(n) for the supported fundamental discriminants."""
-    if D not in _CHARACTER_TABLE:
-        raise ValueError(f"unsupported discriminant {D}")
-    q, table = _CHARACTER_TABLE[D]
-    return table[n % q]
 
 
 def dirichlet_L(s, D: int):

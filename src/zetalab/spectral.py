@@ -46,6 +46,9 @@ __all__ = [
 # <1, 1> on SL2(Z)\H with measure dx dy / y^2
 INNER_ONE_ONE = math.pi / 3.0
 
+# width of one Gauss-Legendre panel on every critical-line contour
+_PANEL_WIDTH = 0.5
+
 
 def modular_domain_volume(panels: int = 200) -> float:
     """vol(SL2(Z)\\H) = int_{-1/2}^{1/2} dx / sqrt(1-x^2) by quadrature.
@@ -63,15 +66,10 @@ class ContourConfig:
 
     T: float = 300.0
     nodes_per_unit: int = 32
-    tail_bound: float = 0.0  # 0 -> computed from the integrand decay
-
-    @property
-    def panel_width(self) -> float:
-        return 0.5
 
     @property
     def nodes_per_panel(self) -> int:
-        return max(2, int(self.nodes_per_unit * self.panel_width))
+        return max(2, int(self.nodes_per_unit * _PANEL_WIDTH))
 
 
 @dataclass(frozen=True)
@@ -120,8 +118,7 @@ def _gl_grid(lo: float, hi: float, panel_width: float, nodes: int):
 def _scattering_residual(t: float, a: float) -> float:
     """|a^w + c_w a^{1-w}| at w = 1/2 + it, by the original complex equation."""
     w = 0.5 + 1j * t
-    c_w = np.exp(complex(specfun.xi_log(2j * t)) - complex(specfun.xi_log(1.0 + 2j * t)))
-    return abs(a ** w + c_w * a ** (1.0 - w))
+    return abs(a ** w + eisenstein.c_scattering(w) * a ** (1.0 - w))
 
 
 def _psi_exact(track: specfun.ArgTrack, t: float) -> float:
@@ -158,7 +155,7 @@ def exotic_roots(a: float, t_min: float = 0.1, t_max: float = 50.0,
     """All w = 1/2 + it in [t_min, t_max] with a^w + c_w a^{1-w} = 0.
 
     Roots are bracketed as sign changes of cos(t log a + psi(t)) on a dense
-    grid, bisected to 1e-12 in t, and re-validated against the original
+    grid, bisected to 1e-13 in t, and re-validated against the original
     complex equation.
     """
     if a <= 1.0:
@@ -170,6 +167,9 @@ def exotic_roots(a: float, t_min: float = 0.1, t_max: float = 50.0,
     if track is None:
         track = specfun.psi_arg_xi(t_max + 1.0)
 
+    def f(t: float) -> float:
+        return math.cos(_phase_exact(track, a, t))
+
     ts = np.arange(t_min, t_max + 0.005, 0.005)
     psi = np.interp(ts, track.t_grid, track.psi_values)
     phi = np.cos(ts * math.log(a) + psi)
@@ -180,19 +180,9 @@ def exotic_roots(a: float, t_min: float = 0.1, t_max: float = 50.0,
         # slightly outside the grid cell that showed the sign change
         lo = max(t_min, float(ts[i]) - 0.01)
         hi = min(t_max, float(ts[i + 1]) + 0.01)
-        flo = math.cos(_phase_exact(track, a, lo))
-        if flo * math.cos(_phase_exact(track, a, hi)) > 0:
+        if f(lo) * f(hi) > 0:
             continue  # interpolation artifact, no true crossing here
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            fm = math.cos(_phase_exact(track, a, mid))
-            if flo * fm <= 0:
-                hi = mid
-            else:
-                lo, flo = mid, fm
-            if hi - lo < 1e-13:
-                break
-        t = 0.5 * (lo + hi)
+        t = _bisect_real(f, lo, hi, tol=1e-13)
         roots.append(SpectralRoot(
             t=t, w=0.5 + 1j * t, lam=-0.25 - t * t,
             residual=_scattering_residual(t, a), a=a))
@@ -270,14 +260,12 @@ def _greens_tail_bound(a: float, y: float, T: float, lam_w: complex) -> float:
 
 
 def _greens_integral(z, w: complex, a: float, T: float, nodes_per_panel: int) -> complex:
-    taus, wts = _gl_grid(0.0, T, 0.5, nodes_per_panel)
+    taus, wts = _gl_grid(0.0, T, _PANEL_WIDTH, nodes_per_panel)
     s = 0.5 + 1j * taus
     lam_s = -0.25 - taus * taus
     lam_w = w * (w - 1.0)
     E = _line_values(z, taus)
-    c_1ms = np.exp(np.asarray(specfun.xi_log(-2j * taus), dtype=complex)
-                   - np.asarray(specfun.xi_log(1.0 - 2j * taus), dtype=complex))
-    numer = (a ** (1.0 - s) + c_1ms * a ** s) * E
+    numer = (a ** (1.0 - s) + eisenstein.c_scattering(1.0 - s) * a ** s) * E
     # integrand at -tau conjugates the numerator only (lam_s is even),
     # so the full [-T, T] integral folds to 2 Re of the numerator
     integrand = 2.0 * np.real(numer) / (lam_s - lam_w)
@@ -312,7 +300,7 @@ def greens_constant_term_check(z, w, a: float,
     lhs = const + integral
 
     rhs = a ** (1.0 - w) * eisenstein.eisenstein_sl2(zz, w).value / (1.0 - 2.0 * w)
-    tail = cfg.tail_bound if cfg.tail_bound > 0 else _greens_tail_bound(a, zz.imag, cfg.T, lam_w)
+    tail = _greens_tail_bound(a, zz.imag, cfg.T, lam_w)
     rel = (abs(lhs - rhs) + tail) / abs(rhs)
     return GreensResult(lhs=lhs, rhs=rhs, rel_error=float(rel), T=cfg.T,
                         tail_bound=float(tail), quad_error=float(quad_error))
@@ -328,7 +316,7 @@ class _LineCache:
     def __init__(self, D: int, T: float, nodes_per_panel: int):
         self.D = D
         self.T = T
-        self.taus, self.wts = _gl_grid(0.0, T, 0.5, nodes_per_panel)
+        self.taus, self.wts = _gl_grid(0.0, T, _PANEL_WIDTH, nodes_per_panel)
         s = 0.5 + 1j * self.taus
         self.F = np.abs(eisenstein.cm_line_values(D, s)) ** 2
 
@@ -401,7 +389,9 @@ def _bisect_real(f, lo: float, hi: float, tol: float = 1e-10) -> float:
 
 
 def _scan_zeros(f, lo: float, hi: float, step: float = 0.02) -> list[float]:
+    # the grid ends exactly at hi, so no zero past the interval is reported
     ts = np.arange(lo, hi + step, step)
+    ts = np.append(ts[ts < hi], hi)
     vals = np.array([f(t) for t in ts])
     out = []
     for i in np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]:

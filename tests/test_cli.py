@@ -130,6 +130,14 @@ def test_usage_errors():
     assert run(["eisenstein", "--z", "0,-1", "--s", "2,0"])[0] == 2
     assert run(["exotic-roots", "--a", "0.5"])[0] == 2  # a must exceed 1
     assert run(["heegner", "--s", "2,0", "--D", "-5"])[0] == 2
+    # shared flags exist only where they mean something
+    assert run(["epstein", "--Q", "identity", "--r", "2", "--s", "2,0",
+                "--format", "csv"])[0] == 2
+    assert run(["epstein", "--Q", "identity", "--r", "2", "--s", "2,0",
+                "--seed", "3"])[0] == 2
+    assert run(["selftest", "--only", "laplace-constant", "--format", "csv"])[0] == 2
+    assert run(["potential", "--tol", "1e-3"])[0] == 2
+    assert run(["kronecker", "--z", "0,1", "--seed", "3"])[0] == 2
 
 
 def test_tolerance_exit_code():

@@ -29,12 +29,17 @@ def test_cholesky_diagonal():
 
 
 def test_validate_gram_rejects():
-    with pytest.raises(lattice.NotPositiveDefiniteError):
-        lattice.validate_gram(np.array([[1.0, 2.0], [2.0, 1.0]]))
-    with pytest.raises(ValueError):
-        lattice.validate_gram(np.eye(7))
-    with pytest.raises(ValueError):
-        lattice.validate_gram(np.array([[1.0, 0.5], [0.1, 1.0]]))
+    # every entry point that factorizes a Gram matrix runs the same checks
+    for check in (lattice.validate_gram, lattice.cholesky,
+                  lambda Q: lattice.enumerate_vectors(Q, 4.0)):
+        with pytest.raises(lattice.NotPositiveDefiniteError):
+            check(np.array([[1.0, 2.0], [2.0, 1.0]]))
+        with pytest.raises(ValueError):
+            check(np.eye(7))
+        with pytest.raises(ValueError):
+            check(np.array([[1.0, 0.5], [0.1, 1.0]]))
+        with pytest.raises(ValueError):
+            check(np.ones((2, 3)))
 
 
 def test_normalize_det():

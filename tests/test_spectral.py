@@ -155,6 +155,13 @@ def test_zeta_k_zeros_contain_first_zeta_zero():
     assert any(abs(z - ZETA_ZERO_1) < 1e-6 for z in zeros)
 
 
+def test_zeta_k_zeros_stay_inside_interval():
+    # a zero of L(., chi_{-4}) sits just past 37.58; the scan grid must end at hi
+    zeros = spectral.zeta_k_line_zeros(-4, 35.58, 37.58)
+    assert zeros
+    assert all(35.58 <= z <= 37.58 for z in zeros)
+
+
 def test_theta_pairing_vanishes_at_zeta_k_zero(line_cache):
     zeros = spectral.zeta_k_line_zeros(-4, 14.0, 14.3)
     t0 = min(zeros, key=lambda z: abs(z - ZETA_ZERO_1))
