@@ -7,6 +7,8 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 
+import pytest
+
 from zetalab import cli, epstein
 
 
@@ -56,6 +58,13 @@ def test_terras_identity():
     assert doc["rel_error"] < 1e-4
 
 
+def test_terras_any_determinant():
+    # det Q = 2: the Laurent comparison still runs and still passes
+    code, out, _ = run(["terras", "--Q", "[[2,0,0],[0,1,0],[0,0,1]]", "--ell", "1"])
+    assert code == 0
+    assert json.loads(out)["rel_error"] < 1e-4
+
+
 def test_heegner():
     code, out, _ = run(["heegner", "--s", "2,0", "--D", "-7"])
     assert code == 0
@@ -91,6 +100,27 @@ def test_exotic_roots_json_and_csv():
     lines = out_csv.strip().splitlines()
     assert lines[0] == "t,residual,gap,comparator"
     assert len(lines) == doc["count"] + 1
+
+
+@pytest.mark.parametrize("argv, header, key", [
+    (["potential", "--t-min", "2", "--t-max", "10", "--count", "5"],
+     "y,q,q_over_y2", "rows"),
+    (["ground-state"], "x,y,residual", "rows"),
+    (["exotic-roots", "--a", "10", "--t-max", "15"], "t,residual,gap,comparator", "roots"),
+    (["spacing", "--a", "10", "--t-max", "15"], "t_mid,gap,comparator,pi_over_log_t", "rows"),
+    (["repulsion", "--D", "-4", "--a", "10", "--t-min", "10", "--t-max", "14", "--T", "60"],
+     "t_left,t_right,sign_changes,root", "intervals"),
+])
+def test_json_and_csv_agree(argv, header, key):
+    code, out, _ = run(argv)
+    assert code == 0
+    records = json.loads(out)[key]
+    assert records
+    code, out_csv, _ = run(argv + ["--format", "csv"])
+    assert code == 0
+    lines = out_csv.strip().splitlines()
+    assert lines[0] == header
+    assert len(lines) - 1 == len(records)
 
 
 def test_determinism():
@@ -138,6 +168,10 @@ def test_usage_errors():
     assert run(["selftest", "--only", "laplace-constant", "--format", "csv"])[0] == 2
     assert run(["potential", "--tol", "1e-3"])[0] == 2
     assert run(["kronecker", "--z", "0,1", "--seed", "3"])[0] == 2
+    # a malformed or missing Gram matrix is misuse, not a tolerance failure
+    assert run(["epstein", "--Q", "identity", "--s", "2"])[0] == 2  # no --r
+    assert run(["epstein", "--Q", "[1,0,0,1]", "--s", "2"])[0] == 2  # flat, no --r
+    assert run(["epstein", "--Q", "@/nonexistent.json", "--s", "2"])[0] == 2
 
 
 def test_tolerance_exit_code():
