@@ -78,23 +78,26 @@ class LaurentExpansion:
         return total
 
 
-def _half_bracket_sum(Q: np.ndarray, s: complex, x_cut: float) -> tuple[complex, float, int]:
-    """sum_{v != 0} (pi Q[v])^{-s} Gamma(s, pi Q[v]) over pi Q[v] <= x_cut.
-
-    Returns (sum, sum of |terms| for round-off accounting, count).
-    """
+def _sorted_x(Q: np.ndarray, x_cut: float) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted x = pi Q[v] <= x_cut over v != 0, with log x."""
     vectors = lattice.enumerate_vectors(Q, x_cut / math.pi)
-    if vectors.shape[0] == 0:
-        return 0.0 + 0.0j, 0.0, 0
     values = lattice.quadratic_values(Q, vectors)
     order = np.argsort(values, kind="stable")
     x = math.pi * values[order]
+    return x, np.log(x)
+
+
+def _half_bracket_sum(x: np.ndarray, log_x: np.ndarray, s: complex) -> tuple[complex, float, int]:
+    """sum_{v != 0} (pi Q[v])^{-s} Gamma(s, pi Q[v]) over the x of :func:`_sorted_x`.
+
+    Returns (sum, sum of |terms| for round-off accounting, count).
+    """
     g = specfun.regularized_upper_gamma_array(s, x)
-    terms = np.exp(-s * np.log(x)) * g
+    terms = np.exp(-s * log_x) * g
     return complex(np.sum(terms)), float(np.sum(np.abs(terms))), int(len(x))
 
 
-def _tail_bound(r: int, sigma: float, x_cut: float) -> float:
+def _tail_bound(r: int, x_cut: float) -> float:
     """Bound on the dropped |terms| of one half-bracket sum (det-1 form).
 
     For pi Q[v] = x > x_cut >= max(30, 3|s|) each term satisfies
@@ -107,6 +110,48 @@ def _tail_bound(r: int, sigma: float, x_cut: float) -> float:
     return 6.0 * V * (r / 2.0) * math.pi ** (-r / 2.0) * integral
 
 
+class _EpsteinPlan:
+    """Z_r(Q, .) on one form: normalization, inverse and enumerations done once.
+
+    Evaluating many s on one plan gives the same bits as one
+    :func:`epstein_zeta` call per s.  A plan lives for one public call.
+    """
+
+    def __init__(self, Q: np.ndarray):
+        self.Qn, self.scale = lattice.normalize_det(Q)
+        self.r = self.Qn.shape[0]
+        self.Qi = np.linalg.inv(self.Qn)
+        self._cuts: dict[float, tuple] = {}
+
+    def _at(self, x_cut: float) -> tuple:
+        """Both sides' sorted x and log x, and the tail bound of both sums."""
+        if x_cut not in self._cuts:
+            self._cuts[x_cut] = (_sorted_x(self.Qn, x_cut), _sorted_x(self.Qi, x_cut),
+                                 2.0 * _tail_bound(self.r, x_cut))
+        return self._cuts[x_cut]
+
+    def evaluate(self, s, tol: float = 1e-10) -> EvalResult:
+        r = self.r
+        s = complex(s)
+        if abs(s) < 1e-6 or abs(s - r / 2.0) < 1e-6:
+            raise EpsteinPoleError(f"s={s} too close to a pole/zero of the bracket (0 or r/2)")
+        x_cut = max(30.0, 3.0 * abs(s), 1.2 * -math.log(max(tol, 1e-300)))
+        side_a, side_b, tail_both = self._at(x_cut)
+
+        sum_a, abs_a, n_a = _half_bracket_sum(*side_a, s)
+        s_dual = r / 2.0 - s
+        sum_b, abs_b, n_b = _half_bracket_sum(*side_b, s_dual)
+        bracket = sum_a + sum_b + 2.0 / (2.0 * s - r) - 2.0 / (2.0 * s)
+
+        prefactor = cmath.exp(s * math.log(math.pi) - specfun.log_gamma(s))
+        value = prefactor * bracket * self.scale ** (-s)
+
+        amp = abs(prefactor) * self.scale ** (-s.real)
+        tail = tail_both * amp
+        roundoff = 64.0 * np.finfo(float).eps * (abs_a + abs_b + 1.0) * amp
+        return EvalResult(value=value, error_bound=float(tail + roundoff), terms_used=n_a + n_b)
+
+
 def epstein_zeta(Q: np.ndarray, s, tol: float = 1e-10) -> EvalResult:
     """Z_r(Q, s) = sum'_{v in Z^r} Q[v]^{-s}, continued to C \\ {r/2}.
 
@@ -114,26 +159,7 @@ def epstein_zeta(Q: np.ndarray, s, tol: float = 1e-10) -> EvalResult:
     Z_r(cQ, s) = c^{-s} Z_r(Q, s).  Raises :class:`EpsteinPoleError` within
     1e-6 of s = 0 or s = r/2.
     """
-    Qn, scale = lattice.normalize_det(Q)
-    r = Qn.shape[0]
-    s = complex(s)
-    if abs(s) < 1e-6 or abs(s - r / 2.0) < 1e-6:
-        raise EpsteinPoleError(f"s={s} too close to a pole/zero of the bracket (0 or r/2)")
-    Qi = np.linalg.inv(Qn)
-    x_cut = max(30.0, 3.0 * abs(s), 1.2 * -math.log(max(tol, 1e-300)))
-
-    sum_a, abs_a, n_a = _half_bracket_sum(Qn, s, x_cut)
-    s_dual = r / 2.0 - s
-    sum_b, abs_b, n_b = _half_bracket_sum(Qi, s_dual, x_cut)
-    bracket = sum_a + sum_b + 2.0 / (2.0 * s - r) - 2.0 / (2.0 * s)
-
-    prefactor = cmath.exp(s * math.log(math.pi) - specfun.log_gamma(s))
-    value = prefactor * bracket * scale ** (-s)
-
-    amp = abs(prefactor) * scale ** (-s.real)
-    tail = (_tail_bound(r, s.real, x_cut) + _tail_bound(r, s_dual.real, x_cut)) * amp
-    roundoff = 64.0 * np.finfo(float).eps * (abs_a + abs_b + 1.0) * amp
-    return EvalResult(value=value, error_bound=float(tail + roundoff), terms_used=n_a + n_b)
+    return _EpsteinPlan(Q).evaluate(s, tol)
 
 
 def check_functional_equation(Q: np.ndarray, s) -> float:
@@ -158,24 +184,31 @@ def epstein_laurent(Q: np.ndarray, center, max_order: int = 1,
     """Laurent coefficients a_{-1} .. a_{max_order} of Z_r(Q, .) about ``center``.
 
     Trapezoidal Cauchy integrals on |s - center| = radius; node count doubles
-    (up to 256) until the coefficients stabilize.
+    (up to 512) until the coefficients stabilize.  The nodes of a ring are
+    the even nodes of the next, so each doubling evaluates only the new ones.
     """
-    Q = lattice.validate_gram(Q)
+    plan = _EpsteinPlan(Q)
     center = complex(center)
+    orders = np.arange(-1, max_order + 1)
 
-    def coeffs(m: int) -> np.ndarray:
+    def coeffs(m: int, f_even: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+        # theta_{2k} at m nodes is theta_k at m/2 bit for bit: 2k/(2m) only doubles both
         theta = 2.0 * math.pi * np.arange(m) / m
         ring = center + radius * np.exp(1j * theta)
-        f = np.array([epstein_zeta(Q, sv).value for sv in ring])
-        orders = np.arange(-1, max_order + 1)
+        if f_even is None:
+            f = np.array([plan.evaluate(sv).value for sv in ring])
+        else:
+            f = np.empty(m, dtype=complex)
+            f[0::2] = f_even
+            f[1::2] = [plan.evaluate(sv).value for sv in ring[1::2]]
         phases = np.exp(-1j * np.outer(orders, theta))
-        return (phases @ f) / m * radius ** (-orders.astype(float))
+        return (phases @ f) / m * radius ** (-orders.astype(float)), f
 
-    prev = coeffs(nodes)
+    prev, f = coeffs(nodes, None)
     m = nodes
     while m <= 256:
         m *= 2
-        cur = coeffs(m)
+        cur, f = coeffs(m, f)
         scale = np.max(np.abs(cur)) + 1.0
         if np.max(np.abs(cur - prev)) < tol * scale:
             return LaurentExpansion(center=center, coefficients=list(cur), radius=radius)

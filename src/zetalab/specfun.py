@@ -381,21 +381,36 @@ def upper_incomplete_gamma(s, x: float, tol: float = 1e-13) -> complex:
     s = complex(s)
     if x >= abs(s) + 1.0 or x >= 40.0:
         return _upper_gamma_cf(s, x, tol)
+    return _upper_gamma_small_x(s, [x], tol)[0]
+
+
+def _upper_gamma_small_x(s: complex, xs: list, tol: float) -> list:
+    """Gamma(s, x) for each x of a list with 0 < x < |s| + 1 and x < 40.
+
+    Everything that depends on s alone is computed once for the whole list.
+    """
     if s.real <= 0.5 and abs(s - round(s.real)) < 1e-8:
         # near a Gamma pole the splice cancels badly; the CF stays valid
-        return _upper_gamma_cf(s, x, tol)
+        return [_upper_gamma_cf(s, x, tol) for x in xs]
     # lift Re s above 0.5 with Gamma(s,x) = (Gamma(s+1,x) - x^s e^{-x})/s,
-    # maintaining Gamma(s,x) = coeff*Gamma(s0,x) + shift
+    # maintaining Gamma(s,x) = coeff*Gamma(s0,x) + shift, where shift is
+    # -sum_k c_k x^{s_k} e^{-x} over the lift steps (c_k, s_k)
     coeff = 1.0 + 0.0j
-    shift = 0.0 + 0.0j
+    steps = []
     s0 = s
     while s0.real <= 0.5:
         coeff = coeff / s0
-        shift = shift - coeff * cmath.exp(s0 * math.log(x) - x)
+        steps.append((coeff, s0))
         s0 += 1.0
     gamma_full = cmath.exp(log_gamma(s0))
-    lower = _lower_gamma_series(s0, x, tol)
-    return coeff * (gamma_full - lower) + shift
+    out = []
+    for x in xs:
+        shift = 0.0 + 0.0j
+        for c, sk in steps:
+            shift = shift - c * cmath.exp(sk * math.log(x) - x)
+        lower = _lower_gamma_series(s0, x, tol)
+        out.append(coeff * (gamma_full - lower) + shift)
+    return out
 
 
 def lower_incomplete_gamma(s, x: float, tol: float = 1e-13) -> complex:
@@ -457,7 +472,7 @@ def regularized_upper_gamma_array(s: complex, xs: np.ndarray, tol: float = 1e-13
         out[use_cf] = _upper_gamma_cf_vec(s, xs[use_cf], tol)
     rest = ~use_cf
     if rest.any():
-        out[rest] = [upper_incomplete_gamma(s, float(x), tol) for x in xs[rest]]
+        out[rest] = _upper_gamma_small_x(complex(s), xs[rest].tolist(), tol)
     return out
 
 

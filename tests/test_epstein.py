@@ -128,3 +128,69 @@ def test_error_bound_honesty():
     loose = epstein.epstein_zeta(Q, s, tol=1e-6)
     tight = epstein.epstein_zeta(Q, s, tol=1e-13)
     assert abs(loose.value - tight.value) <= loose.error_bound + 1e-14
+
+
+def _laurent_one_call_per_node(Q, center, max_order=1, radius=0.1, nodes=64, tol=1e-8):
+    """Reference ring: one epstein_zeta call at every node of every ring."""
+    center = complex(center)
+    orders = np.arange(-1, max_order + 1)
+    prev, m = None, nodes
+    while True:
+        theta = 2.0 * math.pi * np.arange(m) / m
+        ring = center + radius * np.exp(1j * theta)
+        f = np.array([epstein.epstein_zeta(Q, sv).value for sv in ring])
+        phases = np.exp(-1j * np.outer(orders, theta))
+        cur = (phases @ f) / m * radius ** (-orders.astype(float))
+        if prev is not None and np.max(np.abs(cur - prev)) < tol * (np.max(np.abs(cur)) + 1.0):
+            return list(cur)
+        prev, m = cur, 2 * m
+
+
+def _random_det1(r, seed):
+    B = np.random.default_rng(seed).normal(size=(r, r)) * 0.25
+    return det1(np.eye(r) + B @ B.T)
+
+
+@pytest.mark.parametrize("Q, center, max_order", [
+    (np.eye(2), 1.0, 1),
+    (_random_det1(3, 11), 1.5, 1),
+    (_random_det1(4, 12), 2.0, 1),
+    (np.eye(2), 0.75, 3),
+])
+def test_laurent_reuses_nodes_bit_for_bit(Q, center, max_order):
+    exp = epstein.epstein_laurent(Q, center, max_order=max_order)
+    assert exp.coefficients == _laurent_one_call_per_node(Q, center, max_order)
+
+
+def test_plan_matches_epstein_zeta_bit_for_bit():
+    # one plan serves every s and tol (several enumeration radii) with the
+    # same bits as a fresh epstein_zeta call
+    for Q in (np.array([[3.0, 0.4], [0.4, 1.2]]), _random_det1(3, 5)):
+        plan = epstein._EpsteinPlan(Q)
+        for tol in (1e-10, 1e-13):
+            for s in (2.7, 3.6 + 0.0j, 0.4 + 1.5j, 0.9 - 0.2j, 11.0 + 4.0j, -3.0 + 9.5j):
+                assert plan.evaluate(s, tol) == epstein.epstein_zeta(Q, s, tol)
+
+
+def test_laurent_ring_enumerates_once(monkeypatch):
+    counts = {"enumerate_vectors": 0, "cholesky": 0}
+
+    def counted(owner, name):
+        func = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return func(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(lattice, "enumerate_vectors")
+    counted(np.linalg, "cholesky")
+    epstein.epstein_laurent(np.eye(2), 1.0)
+    assert counts["enumerate_vectors"] == 2
+    assert counts["cholesky"] <= 4
+
+
+def test_laurent_nonconvergence_raises():
+    # tol = 0 can never be met: the ring doubles up to 512 nodes, then raises
+    with pytest.raises(epstein.LaurentConvergenceError):
+        epstein.epstein_laurent(np.eye(2), 1.0, tol=0.0)

@@ -182,6 +182,34 @@ def test_regularized_upper_gamma_array():
         assert abs(vec[i] - direct) < 1e-12
 
 
+def _upper_gamma_lift_per_x(s: complex, x: float, tol: float = 1e-13) -> complex:
+    """Reference: the small-x splice with the whole lift redone for one x."""
+    if s.real <= 0.5 and abs(s - round(s.real)) < 1e-8:
+        return specfun._upper_gamma_cf(s, x, tol)
+    coeff = 1.0 + 0.0j
+    shift = 0.0 + 0.0j
+    s0 = s
+    while s0.real <= 0.5:
+        coeff = coeff / s0
+        shift = shift - coeff * cmath.exp(s0 * math.log(x) - x)
+        s0 += 1.0
+    gamma_full = cmath.exp(specfun.log_gamma(s0))
+    lower = specfun._lower_gamma_series(s0, x, tol)
+    return coeff * (gamma_full - lower) + shift
+
+
+@pytest.mark.parametrize("s", [1.5 - 2.0j,            # no lift
+                               -0.7 + 0.3j, -2.4 + 1.0j,  # lift loop
+                               -1.0 + 1e-9 + 0.0j])       # near the pole: CF branch
+def test_upper_gamma_small_x_bit_for_bit(s):
+    # the per-s work is shared across every x < |s| + 1 of a call; the
+    # values must not move by a bit against redoing it for each x
+    xs = np.linspace(0.01, abs(s) + 1.0, 50, endpoint=False).tolist()
+    reference = [_upper_gamma_lift_per_x(s, x) for x in xs]
+    assert [specfun.upper_incomplete_gamma(s, x) for x in xs] == reference
+    assert specfun.regularized_upper_gamma_array(s, np.array(xs)).tolist() == reference
+
+
 # ---------------------------------------------------------------------------
 # Bessel K
 # ---------------------------------------------------------------------------
