@@ -18,9 +18,6 @@ from . import eisenstein, epstein, hamiltonian, lattice, specfun, spectral
 
 __all__ = ["CriterionResult", "CRITERIA", "run_all", "brute_force_epstein"]
 
-EULER_GAMMA = 0.5772156649015328606
-
-
 @dataclass
 class CriterionResult:
     name: str
@@ -68,7 +65,7 @@ def brute_force_epstein(Q: np.ndarray, s: complex, R: float | None = None) -> co
     det = float(np.linalg.det(Q))
     V_r = math.pi ** (r / 2.0) / math.gamma(r / 2.0 + 1.0)
     density = V_r * (r / 2.0) / math.sqrt(det)  # dN/dt ~ density * t^{r/2-1}
-    x, w = spectral._gl_grid(R, 2.0 * R, R / 40.0, 12)
+    x, w = spectral.gl_grid(R, 2.0 * R, R / 40.0, 12)
     ramp = _smooth_step((x - R) / R)
     window = complex(np.sum(w * ramp * density * x ** (r / 2.0 - 1.0 - s)))
     far_tail = density / (s - r / 2.0) * (2.0 * R) ** (r / 2.0 - s)
@@ -140,10 +137,10 @@ def _c05_terras(rng) -> tuple[bool, dict]:
 
 def _c06_heegner(rng) -> tuple[bool, dict]:
     worst = 0.0
-    zeta2 = complex(specfun.riemann_zeta(2.0))
+    zeta2 = specfun.riemann_zeta(2.0)
     for D in (-3, -4, -7):
         lhs = eisenstein.heegner_zeta(2.0, D)
-        rhs = zeta2 * complex(specfun.dirichlet_L(2.0, D))
+        rhs = zeta2 * specfun.dirichlet_L(2.0, D)
         worst = max(worst, abs(lhs - rhs) / abs(rhs))
     return worst < 1e-7, {"max_rel_error": worst, "tolerance": 1e-7}
 
@@ -253,8 +250,8 @@ def _c13_repulsion(rng) -> tuple[bool, dict]:
     report = spectral.repulsion_experiment(-4, 10.0, 10.0, 20.0,
                                            spectral.ContourConfig(T=120.0))
     factor_zeros = report.zk_zeros
-    product_zeros = spectral._scan_zeros(
-        lambda t: spectral._hardy_rotation_zeta(t) * spectral._hardy_rotation_L(t, -4),
+    product_zeros = spectral.scan_zeros(
+        lambda t: spectral.hardy_rotation_zeta(t) * spectral.hardy_rotation_L(t, -4),
         10.0, 20.0)
     max_dev = 0.0
     for t in product_zeros:
@@ -277,8 +274,8 @@ def _c14_specfun_floor(rng) -> tuple[bool, dict]:
                 or (s.real < -0.5 and abs(s + 1 - round(s.real + 1)) < 0.1):
             continue
         n += 1
-        g1 = np.exp(complex(specfun.log_gamma(s + 1.0)))
-        g0 = np.exp(complex(specfun.log_gamma(s)))
+        g1 = np.exp(specfun.log_gamma(s + 1.0))
+        g0 = np.exp(specfun.log_gamma(s))
         worst = max(worst, abs(g1 - s * g0) / abs(g1))
     detail["gamma_recurrence"] = worst
     ok = worst < 1e-11
@@ -289,9 +286,9 @@ def _c14_specfun_floor(rng) -> tuple[bool, dict]:
         s = complex(rng.uniform(-4, 5), rng.uniform(-5, 5))
         if abs(s) < 0.1 or abs(s - 1.0) < 0.1 or abs(s.imag) < 0.05:
             continue
-        xs = complex(specfun.xi_completed(s))
-        worst = max(worst, abs(xs - complex(specfun.xi_completed(1.0 - s))) / max(1.0, abs(xs)))
-        worst = max(worst, abs(complex(specfun.xi_completed(s.conjugate())) - xs.conjugate())
+        xs = specfun.xi_completed(s)
+        worst = max(worst, abs(xs - specfun.xi_completed(1.0 - s)) / max(1.0, abs(xs)))
+        worst = max(worst, abs(specfun.xi_completed(s.conjugate()) - xs.conjugate())
                     / max(1.0, abs(xs)))
     detail["xi_symmetry"] = worst
     ok = ok and worst < 1e-10
@@ -302,7 +299,7 @@ def _c14_specfun_floor(rng) -> tuple[bool, dict]:
         s = complex(rng.uniform(0.1, 5.0), rng.uniform(-3.0, 3.0))
         x = rng.uniform(0.05, 10.0)
         total = specfun.upper_incomplete_gamma(s, x) + specfun.lower_incomplete_gamma(s, x)
-        gamma = np.exp(complex(specfun.log_gamma(s)))
+        gamma = np.exp(specfun.log_gamma(s))
         worst = max(worst, abs(total - gamma) / max(1.0, abs(gamma)))
     detail["gamma_splice"] = worst
     ok = ok and worst < 1e-10
@@ -313,10 +310,10 @@ def _c14_specfun_floor(rng) -> tuple[bool, dict]:
     for _ in range(50):
         z = rng.uniform(0.5, 10.0)
         closed = math.sqrt(math.pi / (2.0 * z)) * math.exp(-z)
-        worst_cf = max(worst_cf, abs(complex(specfun.bessel_K(0.5, z)) - closed) / closed)
+        worst_cf = max(worst_cf, abs(specfun.bessel_K(0.5, z) - closed) / closed)
         nu = complex(rng.uniform(-1.0, 1.0), rng.uniform(-0.5, 0.5))
-        kp = complex(specfun.bessel_K(nu, z))
-        km = complex(specfun.bessel_K(-nu, z))
+        kp = specfun.bessel_K(nu, z)
+        km = specfun.bessel_K(-nu, z)
         worst_sym = max(worst_sym, abs(kp - km) / abs(kp))
     detail["bessel_closed_form"] = worst_cf
     detail["bessel_symmetry"] = worst_sym

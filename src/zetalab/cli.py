@@ -114,8 +114,7 @@ def _cmd_terras(args) -> _Result:
 
 def _cmd_heegner(args) -> _Result:
     value = eisenstein.heegner_zeta(args.s, args.D)
-    oracle = (complex(specfun.riemann_zeta(args.s))
-              * complex(specfun.dirichlet_L(args.s, args.D)))
+    oracle = specfun.riemann_zeta(args.s) * specfun.dirichlet_L(args.s, args.D)
     rel = abs(value - oracle) / abs(oracle)
     return ({"kind": "heegner_zeta", "D": args.D, "s": _c2(args.s),
              "value": _c2(value), "zeta_L_oracle": _c2(oracle),

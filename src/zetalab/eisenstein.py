@@ -53,7 +53,7 @@ def eisenstein_sl2(z, s, tol: float = 1e-10) -> EisensteinValue:
     """E_s(z) = Z_2(Q_z, s) / (2 zeta(2s))."""
     w = lattice.as_point(z)
     s = complex(s)
-    zeta2s = complex(specfun.riemann_zeta(2.0 * s))
+    zeta2s = specfun.riemann_zeta(2.0 * s)
     if abs(zeta2s) < 1e-8:
         raise ZeroDivisionError("zeta(2s) vanishes too close to the requested s")
     res = epstein.epstein_zeta(lattice.gram_of_point(w), s, tol)
@@ -68,7 +68,7 @@ def eisenstein_slr(g_gram: np.ndarray, s, tol: float = 1e-10) -> EisensteinValue
     if abs(np.linalg.det(Q) - 1.0) > 1e-8:
         raise ValueError("eisenstein_slr expects a det-1 Gram matrix")
     s = complex(s)
-    zrs = complex(specfun.riemann_zeta(r * s))
+    zrs = specfun.riemann_zeta(r * s)
     if abs(zrs) < 1e-8:
         raise ZeroDivisionError("zeta(rs) vanishes too close to the requested s")
     res = epstein.epstein_zeta(Q, r * s / 2.0, tol)
@@ -86,7 +86,7 @@ def c_scattering(s):
     for pole in (0.0, 0.5, 1.0):
         if np.any(np.abs(s - pole) < 1e-10):
             raise ZeroDivisionError("c_s undefined where 2s or 2s-1 hits a xi pole")
-    out = np.exp(np.asarray(specfun.xi_log(2.0 * s - 1.0)) - np.asarray(specfun.xi_log(2.0 * s)))
+    out = np.exp(specfun.xi_log(2.0 * s - 1.0) - specfun.xi_log(2.0 * s))
     return complex(out) if s.ndim == 0 else out
 
 
@@ -166,7 +166,7 @@ def terras_limit(Q: np.ndarray, ell: int, term_tol: float = 1e-14) -> float:
     g_half_r = math.gamma(r / 2.0)
 
     if rl == 1:
-        z_d = 2.0 * float(D[0, 0]) ** (-r / 2.0) * float(np.real(specfun.riemann_zeta(float(r))))
+        z_d = 2.0 * float(D[0, 0]) ** (-r / 2.0) * specfun.riemann_zeta(float(r)).real
     else:
         z_d = float(np.real(epstein.epstein_zeta(D, r / 2.0, tol=1e-12).value))
 
@@ -193,13 +193,12 @@ def terras_limit(Q: np.ndarray, ell: int, term_tol: float = 1e-14) -> float:
                 continue
             phases = np.cos(2.0 * math.pi * (vs[keep] @ (Y @ u)))
             ratios = (qv[keep] / a_u) ** (ell / 4.0)
-            bessels = np.array([float(np.real(specfun.bessel_K(ell / 2.0, float(wv))))
-                                for wv in w_args[keep]])
+            bessels = np.array([specfun.bessel_K(ell / 2.0, float(wv)).real for wv in w_args[keep]])
             H += float(np.sum(phases * ratios * bessels))
     h_term = 2.0 * math.pi ** (r / 2.0) / (g_half_r * math.sqrt(det_D)) * H
 
     psi_term = (math.pi ** (r / 2.0) / (math.sqrt(det_Q) * g_half_r)
-                * float(np.real(specfun.digamma(ell / 2.0) - specfun.digamma(r / 2.0))))
+                * (specfun.digamma(ell / 2.0) - specfun.digamma(r / 2.0)).real)
     return z_d + rec + h_term + psi_term
 
 
@@ -250,7 +249,7 @@ def heegner_zeta(s, D: int) -> complex:
     s = complex(s)
     tau = cm_point(D)
     ev = eisenstein_sl2(tau, s)
-    zeta2s = complex(specfun.riemann_zeta(2.0 * s))
+    zeta2s = specfun.riemann_zeta(2.0 * s)
     return ev.value * zeta2s / complex(_cm_prefactor(D, s))
 
 
@@ -264,7 +263,5 @@ def cm_line_values(D: int, s_values: np.ndarray) -> np.ndarray:
     if D not in CM_POINTS:
         raise ValueError(f"unsupported discriminant {D}")
     s = np.asarray(s_values, dtype=complex)
-    num = (np.asarray(specfun.riemann_zeta(s), dtype=complex)
-           * np.asarray(specfun.dirichlet_L(s, D), dtype=complex))
-    den = np.asarray(specfun.riemann_zeta(2.0 * s), dtype=complex)
-    return _cm_prefactor(D, s) * num / den
+    num = specfun.riemann_zeta(s) * specfun.dirichlet_L(s, D)
+    return _cm_prefactor(D, s) * num / specfun.riemann_zeta(2.0 * s)

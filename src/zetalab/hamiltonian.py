@@ -54,7 +54,7 @@ def grad_e1_star(z) -> tuple[float, float]:
     d/dy log|eta| = -Im(eta'/eta).
     """
     w = lattice.as_point(z)
-    lp = complex(specfun.eta_log_derivative(w))
+    lp = specfun.eta_log_derivative(w)
     gx = -(12.0 / math.pi) * lp.real
     gy = (6.0 / math.pi) * (-0.5 / w.imag + 2.0 * lp.imag)
     return gx, gy

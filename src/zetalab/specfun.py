@@ -17,12 +17,15 @@ Everything here is double precision with explicit truncation control:
 * ``psi_arg_xi`` -- a continuous branch of arg xi(1+2it) anchored at -pi/2
   as t -> 0+, returned as an :class:`ArgTrack`.
 
-Array-friendly: the core evaluators accept numpy arrays and broadcast.
+One calling rule for ``log_gamma``, ``digamma``, ``riemann_zeta``,
+``hurwitz_zeta``, ``dirichlet_L``, ``xi_log`` and ``xi_completed``: a scalar
+argument gives a ``complex``, an array gives an array of the same shape.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -65,10 +68,19 @@ _STIRLING_RADIUS = 25.0
 _TWO_PI = 2.0 * math.pi
 
 
-def _wrap(values: np.ndarray, scalar: bool):
-    if scalar:
-        return complex(values.reshape(()))
-    return values
+def _elementwise(core):
+    """Give ``core`` (flat complex array in, flat array out) the calling rule.
+
+    A scalar argument gives a ``complex``, an array an array of its shape.
+    A complex argument reaches ``core`` as a view, so ``core`` must not
+    write to it.
+    """
+    @functools.wraps(core)
+    def rule(s, *args, **kwargs):
+        arr = np.asarray(s, dtype=complex)
+        out = core(arr.reshape(-1), *args, **kwargs)
+        return complex(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
+    return rule
 
 
 def _log_sin_pi(z: np.ndarray) -> np.ndarray:
@@ -89,28 +101,24 @@ def _log_sin_pi(z: np.ndarray) -> np.ndarray:
     return out
 
 
+@_elementwise
 def log_gamma(s):
     """Principal-branch log Gamma(s) (Stirling with argument shifting).
 
-    Accepts scalars or numpy arrays.  Raises :class:`GammaPoleError` at the
-    poles s = 0, -1, -2, ...
+    Raises :class:`GammaPoleError` at the poles s = 0, -1, -2, ...
     """
-    arr = np.asarray(s, dtype=complex)
-    scalar = arr.ndim == 0
-    z = arr.reshape(-1).copy()
-
-    near_pole = (z.real < 0.5) & (np.abs(z - np.round(z.real)) < 1e-14)
+    near_pole = (s.real < 0.5) & (np.abs(s - np.round(s.real)) < 1e-14)
     if np.any(near_pole):
         raise GammaPoleError("log_gamma evaluated at a non-positive integer")
 
-    out = np.zeros_like(z)
-    reflect = z.real < 0.5
+    out = np.zeros_like(s)
+    reflect = s.real < 0.5
     if np.any(reflect):
-        zr = z[reflect]
-        out[reflect] = math.log(math.pi) - _log_sin_pi(zr) - _log_gamma_core(1.0 - zr)
+        sr = s[reflect]
+        out[reflect] = math.log(math.pi) - _log_sin_pi(sr) - _log_gamma_core(1.0 - sr)
     if np.any(~reflect):
-        out[~reflect] = _log_gamma_core(z[~reflect])
-    return _wrap(out.reshape(arr.shape), scalar)
+        out[~reflect] = _log_gamma_core(s[~reflect])
+    return out
 
 
 def _log_gamma_core(z: np.ndarray) -> np.ndarray:
@@ -132,26 +140,20 @@ def _log_gamma_core(z: np.ndarray) -> np.ndarray:
     return (z - 0.5) * np.log(z) - z + 0.5 * math.log(_TWO_PI) + series - shift
 
 
+@_elementwise
 def digamma(s):
-    """psi(s) = Gamma'(s)/Gamma(s), Stirling with shifting (complex capable)."""
-    arr = np.asarray(s, dtype=complex)
-    scalar = arr.ndim == 0
-    z = arr.reshape(-1).copy()
-    if np.any((z.real < 0.5) & (np.abs(z - np.round(z.real)) < 1e-14)):
+    """psi(s) = Gamma'(s)/Gamma(s), Stirling with shifting."""
+    if np.any((s.real < 0.5) & (np.abs(s - np.round(s.real)) < 1e-14)):
         raise GammaPoleError("digamma evaluated at a non-positive integer")
-    out = np.zeros_like(z)
-    reflect = z.real < 0.5
+    out = np.zeros_like(s)
+    reflect = s.real < 0.5
     if np.any(reflect):
-        zr = z[reflect]
+        sr = s[reflect]
         # psi(1-x) - psi(x) = pi cot(pi x)
-        out[reflect] = _digamma_core(1.0 - zr) - math.pi / np.tan(math.pi * zr)
+        out[reflect] = _digamma_core(1.0 - sr) - math.pi / np.tan(math.pi * sr)
     if np.any(~reflect):
-        out[~reflect] = _digamma_core(z[~reflect])
-    res = out.reshape(arr.shape)
-    if scalar:
-        val = complex(res.reshape(()))
-        return val.real if abs(val.imag) < 1e-14 and np.isrealobj(s) else val
-    return res
+        out[~reflect] = _digamma_core(s[~reflect])
+    return out
 
 
 def _digamma_core(z: np.ndarray) -> np.ndarray:
@@ -182,15 +184,13 @@ _EM_CORRECTIONS = 20
 def _em_terms(s: np.ndarray, base: np.ndarray) -> np.ndarray:
     """Euler-Maclaurin boundary terms for sum_{n >= N} (n + a)^(-s), base = N + a."""
     correction = base ** (1.0 - s) / (s - 1.0) + 0.5 * base ** (-s)
-    poch = np.ones_like(s)
+    poch = s
     binv = 1.0 / base
     power = base ** (1.0 - s) * binv  # base^{-s}
     fact = 1.0
     for k in range(1, _EM_CORRECTIONS + 1):
         # pochhammer (s)_{2k-1} built incrementally
-        if k == 1:
-            poch = s.copy() if isinstance(s, np.ndarray) else s
-        else:
+        if k > 1:
             poch = poch * (s + (2 * k - 3)) * (s + (2 * k - 2))
         fact *= (2 * k) * (2 * k - 1)
         power *= binv * binv
@@ -203,24 +203,22 @@ def _em_cutoff(s: np.ndarray) -> int:
     return max(50, int(0.37 * tmax) + 10)
 
 
+@_elementwise
 def riemann_zeta(s):
     """zeta(s) on C \\ {1} via Euler-Maclaurin (reflection for Re s < -0.5)."""
-    arr = np.asarray(s, dtype=complex)
-    scalar = arr.ndim == 0
-    z = arr.reshape(-1)
-    if np.any(np.abs(z - 1.0) < 1e-12):
+    if np.any(np.abs(s - 1.0) < 1e-12):
         raise ZeroDivisionError("zeta has a pole at s=1")
-    out = np.empty_like(z)
-    refl = z.real < -0.5
+    out = np.empty_like(s)
+    refl = s.real < -0.5
     if np.any(~refl):
-        out[~refl] = _zeta_em(z[~refl])
+        out[~refl] = _zeta_em(s[~refl])
     if np.any(refl):
-        zr = z[refl]
+        sr = s[refl]
         # zeta(s) = 2^s pi^{s-1} sin(pi s/2) Gamma(1-s) zeta(1-s)
-        lg = np.asarray(log_gamma(1.0 - zr), dtype=complex).reshape(zr.shape)
-        chi = np.exp(zr * math.log(2.0) + (zr - 1.0) * math.log(math.pi) + lg + _log_sin_pi(zr / 2.0))
-        out[refl] = chi * _zeta_em(1.0 - zr)
-    return _wrap(out.reshape(arr.shape), scalar)
+        lg = log_gamma(1.0 - sr)
+        chi = np.exp(sr * math.log(2.0) + (sr - 1.0) * math.log(math.pi) + lg + _log_sin_pi(sr / 2.0))
+        out[refl] = chi * _zeta_em(1.0 - sr)
+    return out
 
 
 def _em_sum(s: np.ndarray, a: float, N: int) -> np.ndarray:
@@ -239,17 +237,14 @@ def _zeta_em(s: np.ndarray) -> np.ndarray:
     return _em_sum(s, 1.0, _em_cutoff(s) - 1)
 
 
+@_elementwise
 def hurwitz_zeta(s, a: float):
     """Hurwitz zeta(s, a) for 0 < a <= 1, Euler-Maclaurin continuation."""
     if not 0.0 < a <= 1.0:
         raise ValueError("hurwitz_zeta requires 0 < a <= 1")
-    arr = np.asarray(s, dtype=complex)
-    scalar = arr.ndim == 0
-    z = arr.reshape(-1)
-    if np.any(np.abs(z - 1.0) < 1e-12):
+    if np.any(np.abs(s - 1.0) < 1e-12):
         raise ZeroDivisionError("hurwitz zeta has a pole at s=1")
-    out = _em_sum(z, a, _em_cutoff(z))
-    return _wrap(out.reshape(arr.shape), scalar)
+    return _em_sum(s, a, _em_cutoff(s))
 
 
 _CHARACTER_TABLE = {
@@ -261,59 +256,48 @@ _CHARACTER_TABLE = {
 }
 
 
+@_elementwise
 def dirichlet_L(s, D: int):
     """L(s, chi_D) for D in {-3,-4,-7,-8,-11}, continued via Hurwitz zeta."""
     if D not in _CHARACTER_TABLE:
         raise ValueError(f"{D} is not a supported fundamental discriminant")
     q, table = _CHARACTER_TABLE[D]
-    arr = np.asarray(s, dtype=complex)
-    scalar = arr.ndim == 0
-    z = arr.reshape(-1)
-    at_one = np.abs(z - 1.0) < 1e-13
-    out = np.zeros_like(z)
+    at_one = np.abs(s - 1.0) < 1e-13
+    out = np.zeros_like(s)
     if np.any(~at_one):
-        zs = z[~at_one]
-        acc = np.zeros_like(zs)
+        ss = s[~at_one]
+        acc = np.zeros_like(ss)
         for a0 in range(1, q):
             chi = table[a0]
             if chi:
-                acc += chi * np.asarray(hurwitz_zeta(zs, a0 / q), dtype=complex).reshape(zs.shape)
-        out[~at_one] = acc * float(q) ** (-zs)
+                acc += chi * hurwitz_zeta(ss, a0 / q)
+        out[~at_one] = acc * float(q) ** (-ss)
     if np.any(at_one):
         # L(1, chi) = -(1/q) sum chi(a) psi(a/q)
-        val = -sum(table[a0] * float(np.real(digamma(a0 / q))) for a0 in range(1, q)) / q
-        out[at_one] = val
-    return _wrap(out.reshape(arr.shape), scalar)
+        out[at_one] = -sum(table[a0] * digamma(a0 / q).real for a0 in range(1, q)) / q
+    return out
 
 
 # ---------------------------------------------------------------------------
 # completed zeta and its argument
 # ---------------------------------------------------------------------------
 
+@_elementwise
 def xi_log(s):
     """log xi(s) with xi(s) = pi^{-s/2} Gamma(s/2) zeta(s).
 
     The imaginary part is continuous in the Gamma factor (analytic log) but
     uses the principal log of zeta; consumers unwrap residual 2 pi jumps.
     """
-    arr = np.asarray(s, dtype=complex)
-    scalar = arr.ndim == 0
-    z = arr.reshape(-1)
-    lg = np.asarray(log_gamma(z / 2.0), dtype=complex).reshape(z.shape)
-    zeta = np.asarray(riemann_zeta(z), dtype=complex).reshape(z.shape)
-    out = -(z / 2.0) * math.log(math.pi) + lg + np.log(zeta)
-    return _wrap(out.reshape(arr.shape), scalar)
+    return -(s / 2.0) * math.log(math.pi) + log_gamma(s / 2.0) + np.log(riemann_zeta(s))
 
 
+@_elementwise
 def xi_completed(s):
     """xi(s) = pi^{-s/2} Gamma(s/2) zeta(s); poles at s = 0, 1."""
-    arr = np.asarray(s, dtype=complex)
-    scalar = arr.ndim == 0
-    z = arr.reshape(-1)
-    if np.any(np.abs(z) < 1e-12) or np.any(np.abs(z - 1.0) < 1e-12):
+    if np.any(np.abs(s) < 1e-12) or np.any(np.abs(s - 1.0) < 1e-12):
         raise ZeroDivisionError("xi has poles at s=0 and s=1")
-    out = np.exp(np.asarray(xi_log(z), dtype=complex).reshape(z.shape))
-    return _wrap(out.reshape(arr.shape), scalar)
+    return np.exp(xi_log(s))
 
 
 @dataclass(frozen=True)
@@ -334,8 +318,7 @@ class ArgTrack:
 
 def _psi_raw(t: np.ndarray) -> np.ndarray:
     """Im log xi(1+2it), branch of arg zeta principal (jumps fixed later)."""
-    s = 1.0 + 2j * np.asarray(t, dtype=float)
-    return np.asarray(xi_log(s), dtype=complex).reshape(np.shape(t)).imag
+    return xi_log(1.0 + 2j * np.asarray(t, dtype=float)).imag
 
 
 def _principal(d: np.ndarray) -> np.ndarray:
@@ -465,6 +448,7 @@ def regularized_upper_gamma_array(s: complex, xs: np.ndarray, tol: float = 1e-13
     Splits the array between the continued-fraction and power-series regimes;
     used by the lattice-sum evaluators where thousands of x share one s.
     """
+    s = complex(s)
     xs = np.asarray(xs, dtype=float)
     out = np.empty(xs.shape, dtype=complex)
     use_cf = (xs >= abs(s) + 1.0) | (xs >= 40.0)
@@ -472,7 +456,7 @@ def regularized_upper_gamma_array(s: complex, xs: np.ndarray, tol: float = 1e-13
         out[use_cf] = _upper_gamma_cf_vec(s, xs[use_cf], tol)
     rest = ~use_cf
     if rest.any():
-        out[rest] = _upper_gamma_small_x(complex(s), xs[rest].tolist(), tol)
+        out[rest] = _upper_gamma_small_x(s, xs[rest].tolist(), tol)
     return out
 
 

@@ -34,11 +34,15 @@ __all__ = [
     "SpacingRow",
     "SpectralRoot",
     "exotic_roots",
+    "gl_grid",
     "greens_constant_term_check",
+    "hardy_rotation_L",
+    "hardy_rotation_zeta",
     "J_function",
     "modular_domain_volume",
     "repulsion_experiment",
     "root_count_prediction",
+    "scan_zeros",
     "spacing_statistics",
     "zeta_k_line_zeros",
 ]
@@ -56,7 +60,7 @@ def modular_domain_volume(panels: int = 200) -> float:
     Cross-checks the hard-coded <1,1> = pi/3 before the spectral formulas
     rely on it.
     """
-    x, w = _gl_grid(-0.5, 0.5, 1.0 / panels, 8)
+    x, w = gl_grid(-0.5, 0.5, 1.0 / panels, 8)
     return float(w @ (1.0 / np.sqrt(1.0 - x * x)))
 
 
@@ -99,7 +103,7 @@ class GreensResult:
     quad_error: float
 
 
-def _gl_grid(lo: float, hi: float, panel_width: float, nodes: int):
+def gl_grid(lo: float, hi: float, panel_width: float, nodes: int):
     """Composite Gauss-Legendre nodes/weights on [lo, hi]."""
     base_x, base_w = np.polynomial.legendre.leggauss(nodes)
     n_panels = max(1, int(math.ceil((hi - lo) / panel_width - 1e-12)))
@@ -128,7 +132,7 @@ def _psi_exact(track: specfun.ArgTrack, t: float) -> float:
     the zeta fluctuations on Re s = 1 make as large as ~1e-2; root polishing
     needs the exact value on the track's continuous branch.
     """
-    raw = complex(specfun.xi_log(1.0 + 2j * t)).imag
+    raw = specfun.xi_log(1.0 + 2j * t).imag
     approx = track.value(t)
     return raw + 2.0 * math.pi * round((approx - raw) / (2.0 * math.pi))
 
@@ -260,7 +264,7 @@ def _greens_tail_bound(a: float, y: float, T: float, lam_w: complex) -> float:
 
 
 def _greens_integral(z, w: complex, a: float, T: float, nodes_per_panel: int) -> complex:
-    taus, wts = _gl_grid(0.0, T, _PANEL_WIDTH, nodes_per_panel)
+    taus, wts = gl_grid(0.0, T, _PANEL_WIDTH, nodes_per_panel)
     s = 0.5 + 1j * taus
     lam_s = -0.25 - taus * taus
     lam_w = w * (w - 1.0)
@@ -316,7 +320,7 @@ class _LineCache:
     def __init__(self, D: int, T: float, nodes_per_panel: int):
         self.D = D
         self.T = T
-        self.taus, self.wts = _gl_grid(0.0, T, _PANEL_WIDTH, nodes_per_panel)
+        self.taus, self.wts = gl_grid(0.0, T, _PANEL_WIDTH, nodes_per_panel)
         s = 0.5 + 1j * self.taus
         self.F = np.abs(eisenstein.cm_line_values(D, s)) ** 2
 
@@ -359,19 +363,17 @@ def J_function(w, D: int, cfg: ContourConfig | None = None) -> float:
     return _j_from_cache(cache, w.imag)
 
 
-def _hardy_rotation_zeta(t: float) -> float:
+def hardy_rotation_zeta(t: float) -> float:
     """Z(t) = e^{i theta(t)} zeta(1/2+it), real for real t."""
-    theta = (complex(specfun.log_gamma(0.25 + 0.5j * t)).imag
-             - 0.5 * t * math.log(math.pi))
-    return float((np.exp(1j * theta) * complex(specfun.riemann_zeta(0.5 + 1j * t))).real)
+    theta = specfun.log_gamma(0.25 + 0.5j * t).imag - 0.5 * t * math.log(math.pi)
+    return float((np.exp(1j * theta) * specfun.riemann_zeta(0.5 + 1j * t)).real)
 
 
-def _hardy_rotation_L(t: float, D: int) -> float:
+def hardy_rotation_L(t: float, D: int) -> float:
     """Rotated L(1/2+it, chi_D) for odd real chi (root number +1), real-valued."""
     q = abs(D)
-    theta = (complex(specfun.log_gamma(0.75 + 0.5j * t)).imag
-             + 0.5 * t * math.log(q / math.pi))
-    return float((np.exp(1j * theta) * complex(specfun.dirichlet_L(0.5 + 1j * t, D))).real)
+    theta = specfun.log_gamma(0.75 + 0.5j * t).imag + 0.5 * t * math.log(q / math.pi)
+    return float((np.exp(1j * theta) * specfun.dirichlet_L(0.5 + 1j * t, D)).real)
 
 
 def _bisect_real(f, lo: float, hi: float, tol: float = 1e-10) -> float:
@@ -388,8 +390,11 @@ def _bisect_real(f, lo: float, hi: float, tol: float = 1e-10) -> float:
     return 0.5 * (lo + hi)
 
 
-def _scan_zeros(f, lo: float, hi: float, step: float = 0.02) -> list[float]:
-    # the grid ends exactly at hi, so no zero past the interval is reported
+def scan_zeros(f, lo: float, hi: float, step: float = 0.02) -> list[float]:
+    """Sign changes of a real f on a grid over [lo, hi], bisected to 1e-10.
+
+    The grid ends exactly at hi, so no zero past the interval is reported.
+    """
     ts = np.arange(lo, hi + step, step)
     ts = np.append(ts[ts < hi], hi)
     vals = np.array([f(t) for t in ts])
@@ -405,8 +410,8 @@ def zeta_k_line_zeros(D: int, t_lo: float, t_hi: float) -> list[float]:
     Each factor is rotated by its Hardy phase so zeros appear as sign
     changes of a real function.
     """
-    zeros = _scan_zeros(_hardy_rotation_zeta, t_lo, t_hi)
-    zeros += _scan_zeros(lambda t: _hardy_rotation_L(t, D), t_lo, t_hi)
+    zeros = scan_zeros(hardy_rotation_zeta, t_lo, t_hi)
+    zeros += scan_zeros(lambda t: hardy_rotation_L(t, D), t_lo, t_hi)
     return sorted(zeros)
 
 
@@ -438,7 +443,7 @@ def repulsion_experiment(D: int, a: float, tau_lo: float, tau_hi: float,
     def theta(t: float) -> float:
         return _phase(track, a, t)
 
-    cos_zeros = _scan_zeros(lambda t: math.cos(theta(t)), tau_lo, tau_hi, step=0.01)
+    cos_zeros = scan_zeros(lambda t: math.cos(theta(t)), tau_lo, tau_hi, step=0.01)
 
     def W(t: float) -> float:
         return (math.cos(theta(t)) * _j_from_cache(cache, t)

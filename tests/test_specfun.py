@@ -89,13 +89,6 @@ def test_zeta_first_nontrivial_zero():
     assert abs(complex(specfun.riemann_zeta(0.5 + 1j * ZETA_ZERO_1))) < 1e-9
 
 
-def test_zeta_vectorized_matches_scalar():
-    s = np.array([2.0 + 0j, 0.5 + 20j, -3.5 + 2j, 1.5 - 7j])
-    vec = np.asarray(specfun.riemann_zeta(s))
-    for i, sv in enumerate(s):
-        assert abs(vec[i] - complex(specfun.riemann_zeta(complex(sv)))) < 1e-12
-
-
 def test_xi_symmetry_and_value():
     # xi(2) = pi^{-1} Gamma(1) zeta(2) = pi/6
     assert abs(complex(specfun.xi_completed(2.0)) - math.pi / 6) < 1e-13
@@ -137,11 +130,37 @@ def test_dirichlet_L_direct_series():
     assert abs(complex(specfun.dirichlet_L(2.0, -4)) - partial) < 1e-9
 
 
-def test_dirichlet_L_vectorized():
-    s = np.array([1.5 + 0j, 0.5 + 10j, 2.0 - 3j])
-    vec = np.asarray(specfun.dirichlet_L(s, -7))
-    for i, sv in enumerate(s):
-        assert abs(vec[i] - complex(specfun.dirichlet_L(complex(sv), -7))) < 1e-12
+# the seven functions under one calling rule: (name, extra arguments, a 2-D
+# batch of s away from the poles with a real first entry; the batches reach
+# the reflection branches and the s = 1 branch of dirichlet_L)
+_ELEMENTWISE = [
+    ("log_gamma", (), [[2.0, 0.5 + 20j], [-3.5 + 2j, 1.5 - 7j]]),
+    ("digamma", (), [[2.0, 0.5 + 20j], [-3.5 + 2j, 1.5 - 7j]]),
+    ("riemann_zeta", (), [[2.0, 0.5 + 20j], [-3.5 + 2j, 1.5 - 7j]]),
+    ("hurwitz_zeta", (0.3,), [[2.5, 1.2 + 3j], [0.5 + 20j, 2.0 - 1j]]),
+    ("dirichlet_L", (-7,), [[1.5, 0.5 + 10j], [2.0 - 3j, 1.0]]),
+    ("xi_log", (), [[2.0, 0.5 + 20j], [-3.5 + 2j, 1.5 - 7j]]),
+    ("xi_completed", (), [[2.0, 0.5 + 20j], [-3.5 + 2j, 1.5 - 7j]]),
+]
+
+
+@pytest.mark.parametrize("name, args, s", _ELEMENTWISE, ids=[c[0] for c in _ELEMENTWISE])
+def test_calling_rule(name, args, s):
+    f = getattr(specfun, name)
+    s = np.array(s, dtype=complex)
+    before = s.copy()
+    out = f(s, *args)
+    # an array gives an array of its shape, bit for bit the flat batch (not
+    # the scalar calls: the Euler-Maclaurin cutoff depends on the batch)
+    assert out.shape == s.shape
+    assert out.tobytes() == f(s.ravel(), *args).tobytes()
+    # a complex input reaches the core as a view and must come back unchanged
+    assert s.tobytes() == before.tobytes()
+    # a Python scalar or a 0-d array gives a complex, also for real input
+    for v in (float(s[0, 0].real), complex(s[0, 0]), np.array(s[0, 0])):
+        assert type(f(v, *args)) is complex
+    scalar = [f(complex(v), *args) for v in s.flat]
+    np.testing.assert_allclose(scalar, out.ravel(), rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -180,6 +199,15 @@ def test_regularized_upper_gamma_array():
     for i, x in enumerate(xs):
         direct = specfun.upper_incomplete_gamma(s, float(x))
         assert abs(vec[i] - direct) < 1e-12
+
+
+def test_regularized_upper_gamma_array_real_s():
+    # a real s is the complex s with zero imaginary part, on both the
+    # power-series side (x < |s| + 1) and the continued-fraction side
+    for s in (3.0, -1.5):
+        xs = np.array([0.05, 0.7, 2.0, abs(s) + 0.9, abs(s) + 1.0, 9.0, 45.0])
+        real = specfun.regularized_upper_gamma_array(s, xs)
+        assert real.tobytes() == specfun.regularized_upper_gamma_array(complex(s), xs).tobytes()
 
 
 def _upper_gamma_lift_per_x(s: complex, x: float, tol: float = 1e-13) -> complex:
