@@ -4,8 +4,9 @@ Everything here is double precision with explicit truncation control:
 
 * ``log_gamma`` / ``digamma`` -- Stirling series with argument shifting.
 * ``riemann_zeta`` / ``hurwitz_zeta`` -- Euler-Maclaurin with Bernoulli
-  corrections; the cutoff N adapts to |Im s| so the series stays accurate
-  on tall vertical lines (|Im s| up to ~1200).
+  corrections; each point's cutoff N comes from its own |Im s|, so the
+  series stays accurate on tall vertical lines (|Im s| up to ~1200) and a
+  batch value equals the scalar value bit for bit.
 * ``upper_incomplete_gamma`` -- Legendre continued fraction spliced with the
   lower-gamma power series.
 * ``dirichlet_L`` -- Hurwitz-zeta decomposition for the small odd fundamental
@@ -198,9 +199,9 @@ def _em_terms(s: np.ndarray, base: np.ndarray) -> np.ndarray:
     return correction
 
 
-def _em_cutoff(s: np.ndarray) -> int:
-    tmax = float(np.max(np.abs(s.imag))) if s.size else 0.0
-    return max(50, int(0.37 * tmax) + 10)
+def _em_cutoff(s: np.ndarray) -> np.ndarray:
+    """Euler-Maclaurin cutoff N of each point, from its own height."""
+    return np.maximum(50, (0.37 * np.abs(s.imag)).astype(int) + 10)
 
 
 @_elementwise
@@ -221,15 +222,33 @@ def riemann_zeta(s):
     return out
 
 
-def _em_sum(s: np.ndarray, a: float, N: int) -> np.ndarray:
-    """sum_{k < N} (k + a)^(-s) plus the Euler-Maclaurin tail at base N + a."""
-    n = np.arange(0, N, dtype=float) + a
-    # chunk the outer product to bound memory on long node lists
+def _em_sum(s: np.ndarray, a: float, N: np.ndarray) -> np.ndarray:
+    """sum_{k < N_i} (k + a)^(-s_i) plus the Euler-Maclaurin tail at N_i + a.
+
+    Point i sums its own N_i terms in the same order in any batch: points
+    that share one cutoff sum a row each; other points lay their terms end
+    to end, each row after a 0, and ``np.add.reduceat`` adds such a row
+    exactly as ``np.sum`` adds the terms alone.
+    """
     out = np.empty_like(s)
-    for lo in range(0, s.size, 2048):
-        hi = min(lo + 2048, s.size)
-        out[lo:hi] = np.sum(n[:, None] ** (-s[lo:hi][None, :]), axis=0)
-    return out + _em_terms(s, np.full_like(s, float(N) + a))
+    # 256 points per pass bound the term arrays on long node lists
+    for lo in range(0, s.size, 256):
+        x, width = -s[lo:lo + 256], N[lo:lo + 256]
+        if width.min() == width.max():
+            out[lo:lo + 256] = np.sum((np.arange(width[0]) + a) ** x[:, None], axis=1)
+            continue
+        rows = width + 1  # a leading 0 (k = -1), then k = 0 .. N_i - 1
+        first = np.cumsum(rows) - rows
+        k = np.arange(rows.sum()) - np.repeat(first + 1, rows)
+        x = np.repeat(x, rows)
+        # n ** x is exp(x * complex log n) bit for bit, bar numpy's integer powers
+        if x.imag.all():
+            terms = np.exp(x * np.log(np.arange(width.max()) + (a + 0j))[k])
+        else:
+            terms = (np.maximum(k, 0) + a) ** x
+        terms[first] = 0.0
+        out[lo:lo + 256] = np.add.reduceat(terms, first)
+    return out + _em_terms(s, N + (a + 0j))
 
 
 def _zeta_em(s: np.ndarray) -> np.ndarray:

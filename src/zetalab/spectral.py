@@ -269,7 +269,8 @@ def _greens_integral(z, w: complex, a: float, T: float, nodes_per_panel: int) ->
     lam_s = -0.25 - taus * taus
     lam_w = w * (w - 1.0)
     E = _line_values(z, taus)
-    numer = (a ** (1.0 - s) + eisenstein.c_scattering(1.0 - s) * a ** s) * E
+    # on the line c_{1-s} = xi(1+2i tau)/xi(1-2i tau) = exp(2i Im log xi(2s))
+    numer = (a ** (1.0 - s) + np.exp(2j * specfun.xi_log(2.0 * s).imag) * a ** s) * E
     # integrand at -tau conjugates the numerator only (lam_s is even),
     # so the full [-T, T] integral folds to 2 Re of the numerator
     integrand = 2.0 * np.real(numer) / (lam_s - lam_w)

@@ -27,6 +27,7 @@ def test_criteria_registry_is_complete():
     assert [name for name, _ in acceptance.CRITERIA] == list(BUDGETS)
 
 
+@pytest.mark.slow
 @pytest.mark.parametrize("name", list(BUDGETS))
 def test_criterion(name):
     result = acceptance.run_all([name])[0]

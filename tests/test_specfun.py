@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zetalab import specfun
+from zetalab import eisenstein, specfun
 
 # independently known constants
 CATALAN = 0.9159655941772190
@@ -150,8 +150,8 @@ def test_calling_rule(name, args, s):
     s = np.array(s, dtype=complex)
     before = s.copy()
     out = f(s, *args)
-    # an array gives an array of its shape, bit for bit the flat batch (not
-    # the scalar calls: the Euler-Maclaurin cutoff depends on the batch)
+    # an array gives an array of its shape, bit for bit the flat batch and
+    # the scalar calls (each point's Euler-Maclaurin cutoff is its own)
     assert out.shape == s.shape
     assert out.tobytes() == f(s.ravel(), *args).tobytes()
     # a complex input reaches the core as a view and must come back unchanged
@@ -159,8 +159,51 @@ def test_calling_rule(name, args, s):
     # a Python scalar or a 0-d array gives a complex, also for real input
     for v in (float(s[0, 0].real), complex(s[0, 0]), np.array(s[0, 0])):
         assert type(f(v, *args)) is complex
-    scalar = [f(complex(v), *args) for v in s.flat]
-    np.testing.assert_allclose(scalar, out.ravel(), rtol=0, atol=1e-12)
+    scalar = np.array([f(complex(v), *args) for v in s.flat])
+    assert scalar.tobytes() == out.ravel().tobytes()
+
+
+# one batch over heights 0-1200 on and off the critical line, with real
+# points (one an integer, which numpy's power multiplies out) and a
+# reflected one (Re s < -0.5, also for 2s - 1 in c_s)
+_TALL_BATCH = np.array([2.5, 0.5 + 0.3j, 0.5 + 7j, 0.5 + 60j, 0.75 + 133.7j,
+                        0.5 + 300j, 3.0, 0.5 + 600j, 0.5 + 999.9j, 0.5 + 1200j,
+                        -1.5 + 10j])
+_BATCHED = [
+    ("riemann_zeta", specfun.riemann_zeta),
+    ("hurwitz_zeta", lambda s: specfun.hurwitz_zeta(s, 0.3)),
+    ("dirichlet_L", lambda s: specfun.dirichlet_L(s, -7)),
+    ("xi_log", specfun.xi_log),
+    ("c_scattering", eisenstein.c_scattering),
+]
+
+
+@pytest.mark.parametrize("f", [c[1] for c in _BATCHED], ids=[c[0] for c in _BATCHED])
+def test_batch_equals_scalar_bit_for_bit(f):
+    batch = f(_TALL_BATCH)
+    scalar = np.array([f(complex(s)) for s in _TALL_BATCH])
+    assert batch.tobytes() == scalar.tobytes()
+    # any sub-batch gives the same digits as well
+    assert f(_TALL_BATCH[::-3]).tobytes() == batch[::-3].tobytes()
+    empty = f(np.empty(0, dtype=complex))
+    assert isinstance(empty, np.ndarray) and empty.shape == (0,)
+
+
+def test_em_cutoff_per_point(monkeypatch):
+    # every point sums N = max(50, floor(0.37 |Im s|) + 10) terms of its own
+    # height, so a 0-1200 grid costs sum N_i terms, not M times the tallest N
+    summed = []
+    em_sum = specfun._em_sum
+
+    def counted(s, a, N):
+        summed.append(int(np.sum(np.broadcast_to(N, s.shape))))
+        return em_sum(s, a, N)
+
+    monkeypatch.setattr(specfun, "_em_sum", counted)
+    heights = np.linspace(0.0, 1200.0, 241)
+    specfun.riemann_zeta(0.5 + 1j * heights)
+    # zeta sums n = 1 .. N - 1 and puts the tail at N
+    assert summed == [sum(max(50, int(0.37 * t) + 10) - 1 for t in heights)]
 
 
 # ---------------------------------------------------------------------------

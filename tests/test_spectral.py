@@ -1,6 +1,7 @@
 """Critical-line spectral experiments: exotic roots, spacing, Green's
 identity, the J pairing, zeta_K on-line zeros."""
 
+import cmath
 import math
 
 import numpy as np
@@ -90,12 +91,37 @@ def test_greens_node_doubling_within_bound():
     assert abs(fine.lhs - base.lhs) < base.tail_bound
 
 
+@pytest.mark.slow
 def test_greens_tail_honesty():
     w, a = 1.25 + 0.6j, 2.0
     r1 = spectral.greens_constant_term_check(1j, w, a, spectral.ContourConfig(T=120.0))
     r2 = spectral.greens_constant_term_check(1j, w, a, spectral.ContourConfig(T=240.0))
     assert abs(r2.lhs - r1.lhs) < r1.tail_bound
     assert abs(r2.lhs - r2.rhs) <= abs(r1.lhs - r1.rhs) + 1e-12
+
+
+@pytest.mark.parametrize("tau", [0.3, 7.0, 60.0, 600.0])
+def test_reflected_scattering_from_one_xi(tau):
+    # on the line c_{1-s} = xi(1+2i tau)/xi(1-2i tau) = exp(2i Im log xi(1+2i tau))
+    phase = specfun.xi_log(1.0 + 2j * tau).imag
+    c = eisenstein.c_scattering(0.5 - 1j * tau)
+    # both sides carry the round-off of a phase of size |phase| (2551 at
+    # tau = 600, where they differ by 1.2e-12, 2.6 ulp of the phase)
+    assert abs(c - cmath.exp(2j * phase)) < 1e-12 + 4.0 * math.ulp(phase)
+
+
+def test_greens_integral_matches_c_scattering_integrand():
+    w, a, cfg = 1.25 + 0.6j, 2.0, spectral.ContourConfig(T=120.0)
+    res = spectral.greens_constant_term_check(1j, w, a, cfg)
+    # the same contour, built on c_{1-s} = c_scattering(1 - s) and E at i
+    taus, wts = spectral.gl_grid(0.0, cfg.T, spectral._PANEL_WIDTH, cfg.nodes_per_panel)
+    s = 0.5 + 1j * taus
+    lam_w = w * (w - 1.0)
+    E = eisenstein.cm_line_values(-4, s)
+    numer = (a ** (1.0 - s) + eisenstein.c_scattering(1.0 - s) * a ** s) * E
+    integral = wts @ (2.0 * numer.real / (-0.25 - taus ** 2 - lam_w)) / (4.0 * math.pi)
+    lhs = 1.0 / (-lam_w * spectral.INNER_ONE_ONE) + integral
+    assert abs(res.lhs - lhs) < 1e-12 * abs(lhs)
 
 
 def test_greens_check_generic_point():
