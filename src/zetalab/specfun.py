@@ -225,27 +225,24 @@ def riemann_zeta(s):
 def _em_sum(s: np.ndarray, a: float, N: np.ndarray) -> np.ndarray:
     """sum_{k < N_i} (k + a)^(-s_i) plus the Euler-Maclaurin tail at N_i + a.
 
-    Point i sums its own N_i terms in the same order in any batch: points
-    that share one cutoff sum a row each; other points lay their terms end
-    to end, each row after a 0, and ``np.add.reduceat`` adds such a row
-    exactly as ``np.sum`` adds the terms alone.
+    Point i sums its own N_i terms in the same order in any batch: the rows
+    lie end to end, each after a 0, and ``np.add.reduceat`` adds such a row
+    exactly as ``np.sum`` adds the terms alone.  Each term depends on its
+    own point only, so a batch value equals the scalar value bit for bit.
     """
     out = np.empty_like(s)
     # 256 points per pass bound the term arrays on long node lists
     for lo in range(0, s.size, 256):
-        x, width = -s[lo:lo + 256], N[lo:lo + 256]
-        if width.min() == width.max():
-            out[lo:lo + 256] = np.sum((np.arange(width[0]) + a) ** x[:, None], axis=1)
-            continue
-        rows = width + 1  # a leading 0 (k = -1), then k = 0 .. N_i - 1
+        rows = N[lo:lo + 256] + 1  # a leading 0 (k = -1), then k = 0 .. N_i - 1
         first = np.cumsum(rows) - rows
         k = np.arange(rows.sum()) - np.repeat(first + 1, rows)
-        x = np.repeat(x, rows)
-        # n ** x is exp(x * complex log n) bit for bit, bar numpy's integer powers
-        if x.imag.all():
-            terms = np.exp(x * np.log(np.arange(width.max()) + (a + 0j))[k])
-        else:
-            terms = (np.maximum(k, 0) + a) ** x
+        x = np.repeat(-s[lo:lo + 256], rows)
+        # exp(x log n) with one log per n; it is n ** x bit for bit where
+        # libm's cpow is cexp(x clog n) (glibc), but numpy multiplies out
+        # integer powers, so a real s keeps the power
+        terms = np.exp(x * np.log(np.arange(rows.max()) + (a + 0j))[k])
+        real = np.flatnonzero(x.imag == 0)
+        terms[real] = (np.maximum(k[real], 0) + a) ** x[real]
         terms[first] = 0.0
         out[lo:lo + 256] = np.add.reduceat(terms, first)
     return out + _em_terms(s, N + (a + 0j))

@@ -206,6 +206,17 @@ def test_em_cutoff_per_point(monkeypatch):
     assert summed == [sum(max(50, int(0.37 * t) + 10) - 1 for t in heights)]
 
 
+@pytest.mark.parametrize("s, a", [(2.0, 1.0), (3.0, 0.3), (2.5, 0.5), (-2.0, 0.7)])
+def test_real_s_sums_numpy_powers(s, a):
+    # a real s sums numpy's own n ** -s (integer powers multiplied out) with
+    # np.sum, alone or in a batch of complex points
+    n = np.arange(50) + a
+    tail = specfun._em_terms(np.array([s + 0j]), np.array([50 + a + 0j]))[0]
+    expected = np.sum(n ** -complex(s)) + tail
+    assert specfun.hurwitz_zeta(s, a) == expected
+    assert specfun.hurwitz_zeta(np.array([0.5 + 9j, s, 0.5 + 900j]), a)[1] == expected
+
+
 # ---------------------------------------------------------------------------
 # incomplete gamma
 # ---------------------------------------------------------------------------
