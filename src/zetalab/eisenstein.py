@@ -76,18 +76,16 @@ def eisenstein_slr(g_gram: np.ndarray, s, tol: float = 1e-10) -> EisensteinValue
                            error_bound=res.error_bound / abs(2.0 * zrs))
 
 
+@specfun.elementwise
 def c_scattering(s):
     """c_s = xi(2s-1)/xi(2s); |c_s| = 1 on Re s = 1/2 and c_s c_{1-s} = 1.
 
-    Accepts a scalar (returns a complex) or an array of s (returns an array
-    of the same shape).
+    A scalar s gives a ``complex``, an array of s an array of its shape.
     """
-    s = np.asarray(s, dtype=complex)
     for pole in (0.0, 0.5, 1.0):
         if np.any(np.abs(s - pole) < 1e-10):
             raise ZeroDivisionError("c_s undefined where 2s or 2s-1 hits a xi pole")
-    out = np.exp(specfun.xi_log(2.0 * s - 1.0) - specfun.xi_log(2.0 * s))
-    return complex(out) if s.ndim == 0 else out
+    return np.exp(specfun.xi_log(2.0 * s - 1.0) - specfun.xi_log(2.0 * s))
 
 
 def e1_star(z) -> float:

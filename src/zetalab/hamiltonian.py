@@ -76,9 +76,10 @@ def fd_laplacian(f, z, h: float = 1e-3) -> float:
     if not h < w.imag / 10.0:
         raise ValueError("step h must be below y/10")
 
+    x, y = w.real, w.imag
+    c = f(w)  # the centre, shared by both stencils
+
     def five_point(step: float) -> float:
-        x, y = w.real, w.imag
-        c = f(complex(x, y))
         s = (f(complex(x + step, y)) + f(complex(x - step, y))
              + f(complex(x, y + step)) + f(complex(x, y - step)) - 4.0 * c)
         return y * y * s / (step * step)

@@ -18,9 +18,11 @@ Everything here is double precision with explicit truncation control:
 * ``psi_arg_xi`` -- a continuous branch of arg xi(1+2it) anchored at -pi/2
   as t -> 0+, returned as an :class:`ArgTrack`.
 
-One calling rule for ``log_gamma``, ``digamma``, ``riemann_zeta``,
-``hurwitz_zeta``, ``dirichlet_L``, ``xi_log`` and ``xi_completed``: a scalar
-argument gives a ``complex``, an array gives an array of the same shape.
+One calling rule, held by :func:`elementwise` alone: a scalar gives a Python
+scalar, an array an array of its shape.  It covers ``log_gamma``, ``digamma``,
+``riemann_zeta``, ``hurwitz_zeta``, ``dirichlet_L``, ``xi_log``, ``xi_completed``,
+``eisenstein.c_scattering`` (``complex``) and ``spectral.hardy_rotation_zeta``/
+``_L`` (``float``); ``ArgTrack.value``/``derivative`` keep the shape of ``t``.
 """
 
 from __future__ import annotations
@@ -31,6 +33,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .lattice import reduce_sl2
 
 __all__ = [
     "ArgTrack",
@@ -69,18 +73,18 @@ _STIRLING_RADIUS = 25.0
 _TWO_PI = 2.0 * math.pi
 
 
-def _elementwise(core):
+def elementwise(core):
     """Give ``core`` (flat complex array in, flat array out) the calling rule.
 
-    A scalar argument gives a ``complex``, an array an array of its shape.
-    A complex argument reaches ``core`` as a view, so ``core`` must not
-    write to it.
+    A scalar argument gives the Python scalar of the core's dtype (a
+    ``complex`` or a ``float``), an array an array of its shape.  A complex
+    argument reaches ``core`` as a view, so ``core`` must not write to it.
     """
     @functools.wraps(core)
     def rule(s, *args, **kwargs):
         arr = np.asarray(s, dtype=complex)
         out = core(arr.reshape(-1), *args, **kwargs)
-        return complex(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
+        return out[0].item() if arr.ndim == 0 else out.reshape(arr.shape)
     return rule
 
 
@@ -102,7 +106,7 @@ def _log_sin_pi(z: np.ndarray) -> np.ndarray:
     return out
 
 
-@_elementwise
+@elementwise
 def log_gamma(s):
     """Principal-branch log Gamma(s) (Stirling with argument shifting).
 
@@ -141,7 +145,7 @@ def _log_gamma_core(z: np.ndarray) -> np.ndarray:
     return (z - 0.5) * np.log(z) - z + 0.5 * math.log(_TWO_PI) + series - shift
 
 
-@_elementwise
+@elementwise
 def digamma(s):
     """psi(s) = Gamma'(s)/Gamma(s), Stirling with shifting."""
     if np.any((s.real < 0.5) & (np.abs(s - np.round(s.real)) < 1e-14)):
@@ -204,7 +208,7 @@ def _em_cutoff(s: np.ndarray) -> np.ndarray:
     return np.maximum(50, (0.37 * np.abs(s.imag)).astype(int) + 10)
 
 
-@_elementwise
+@elementwise
 def riemann_zeta(s):
     """zeta(s) on C \\ {1} via Euler-Maclaurin (reflection for Re s < -0.5)."""
     if np.any(np.abs(s - 1.0) < 1e-12):
@@ -253,7 +257,7 @@ def _zeta_em(s: np.ndarray) -> np.ndarray:
     return _em_sum(s, 1.0, _em_cutoff(s) - 1)
 
 
-@_elementwise
+@elementwise
 def hurwitz_zeta(s, a: float):
     """Hurwitz zeta(s, a) for 0 < a <= 1, Euler-Maclaurin continuation."""
     if not 0.0 < a <= 1.0:
@@ -272,7 +276,7 @@ _CHARACTER_TABLE = {
 }
 
 
-@_elementwise
+@elementwise
 def dirichlet_L(s, D: int):
     """L(s, chi_D) for D in {-3,-4,-7,-8,-11}, continued via Hurwitz zeta."""
     if D not in _CHARACTER_TABLE:
@@ -298,7 +302,7 @@ def dirichlet_L(s, D: int):
 # completed zeta and its argument
 # ---------------------------------------------------------------------------
 
-@_elementwise
+@elementwise
 def xi_log(s):
     """log xi(s) with xi(s) = pi^{-s/2} Gamma(s/2) zeta(s).
 
@@ -308,7 +312,7 @@ def xi_log(s):
     return -(s / 2.0) * math.log(math.pi) + log_gamma(s / 2.0) + np.log(riemann_zeta(s))
 
 
-@_elementwise
+@elementwise
 def xi_completed(s):
     """xi(s) = pi^{-s/2} Gamma(s/2) zeta(s); poles at s = 0, 1."""
     if np.any(np.abs(s) < 1e-12) or np.any(np.abs(s - 1.0) < 1e-12):
@@ -324,12 +328,12 @@ class ArgTrack:
     psi_values: np.ndarray
     max_step: float
 
-    def value(self, t) -> float:
-        return float(np.interp(t, self.t_grid, self.psi_values))
+    def value(self, t):
+        return np.interp(t, self.t_grid, self.psi_values)
 
-    def derivative(self, t) -> float:
+    def derivative(self, t):
         grad = np.gradient(self.psi_values, self.t_grid)
-        return float(np.interp(t, self.t_grid, grad))
+        return np.interp(t, self.t_grid, grad)
 
 
 def _psi_raw(t: np.ndarray) -> np.ndarray:
@@ -596,8 +600,6 @@ def eta_log_derivative(z) -> complex:
         raise ValueError("eta_log_derivative requires Im z > 0")
     if w.imag >= 0.75:
         return 1j * math.pi / 12.0 * _e2_series(w)
-    from .lattice import reduce_sl2  # local import to avoid cycles at import time
-
     zp, gamma = reduce_sl2(w)
     (a, b), (c, d) = gamma
     j = c * w + d

@@ -137,7 +137,7 @@ def _psi_exact(track: specfun.ArgTrack, t: float) -> float:
     return raw + 2.0 * math.pi * round((approx - raw) / (2.0 * math.pi))
 
 
-def _phase(track: specfun.ArgTrack, a: float, t: float) -> float:
+def _phase(track: specfun.ArgTrack, a: float, t):
     return t * math.log(a) + track.value(t)
 
 
@@ -148,8 +148,7 @@ def _phase_exact(track: specfun.ArgTrack, a: float, t: float) -> float:
 def root_count_prediction(a: float, t_min: float, t_max: float,
                           track: specfun.ArgTrack) -> int:
     """Number of cosine zeros predicted by the phase increment."""
-    lo = _phase(track, a, t_min)
-    hi = _phase(track, a, t_max)
+    lo, hi = _phase(track, a, np.array([t_min, t_max]))
     return int(math.floor((hi + math.pi / 2) / math.pi)
                - math.floor((lo + math.pi / 2) / math.pi))
 
@@ -175,8 +174,7 @@ def exotic_roots(a: float, t_min: float = 0.1, t_max: float = 50.0,
         return math.cos(_phase_exact(track, a, t))
 
     ts = np.arange(t_min, t_max + 0.005, 0.005)
-    psi = np.interp(ts, track.t_grid, track.psi_values)
-    phi = np.cos(ts * math.log(a) + psi)
+    phi = np.cos(_phase(track, a, ts))
     roots: list[SpectralRoot] = []
     sign_change = np.nonzero(np.sign(phi[:-1]) * np.sign(phi[1:]) < 0)[0]
     for i in sign_change:
@@ -331,10 +329,9 @@ class _LineCache:
         return float(abs(val) ** 2)
 
 
-def _j_from_cache(cache: _LineCache, tau: float, window: float = 0.0625) -> float:
-    """J(1/2 + i tau): removable singularity handled by window interpolation."""
+def _j_from_cache(cache: _LineCache, tau: float, F_tau: float, window: float = 0.0625) -> float:
+    """J(1/2 + i tau) from F_tau = theta_sq(tau), singularity window-interpolated."""
     taus, wts, F = cache.taus, cache.wts, cache.F
-    F_tau = cache.theta_sq(tau)
     denom = tau * tau - taus * taus
     with np.errstate(divide="ignore", invalid="ignore"):
         G = (F - F_tau) / denom
@@ -361,20 +358,22 @@ def J_function(w, D: int, cfg: ContourConfig | None = None) -> float:
     if abs(w.real - 0.5) > 1e-12 or w.imag <= 0.5:
         raise ValueError("J_function needs w = 1/2 + i tau with tau > 0.5")
     cache = _LineCache(D, cfg.T, cfg.nodes_per_panel)
-    return _j_from_cache(cache, w.imag)
+    return _j_from_cache(cache, w.imag, cache.theta_sq(w.imag))
 
 
-def hardy_rotation_zeta(t: float) -> float:
-    """Z(t) = e^{i theta(t)} zeta(1/2+it), real for real t."""
-    theta = specfun.log_gamma(0.25 + 0.5j * t).imag - 0.5 * t * math.log(math.pi)
-    return float((np.exp(1j * theta) * specfun.riemann_zeta(0.5 + 1j * t)).real)
+@specfun.elementwise
+def hardy_rotation_zeta(t):
+    """Z(t) = e^{i theta(t)} zeta(1/2+it), real-valued for real t."""
+    theta = specfun.log_gamma(0.25 + 0.5j * t).imag - 0.5 * t.real * math.log(math.pi)
+    return (np.exp(1j * theta) * specfun.riemann_zeta(0.5 + 1j * t)).real
 
 
-def hardy_rotation_L(t: float, D: int) -> float:
+@specfun.elementwise
+def hardy_rotation_L(t, D: int):
     """Rotated L(1/2+it, chi_D) for odd real chi (root number +1), real-valued."""
     q = abs(D)
-    theta = specfun.log_gamma(0.75 + 0.5j * t).imag + 0.5 * t * math.log(q / math.pi)
-    return float((np.exp(1j * theta) * specfun.dirichlet_L(0.5 + 1j * t, D)).real)
+    theta = specfun.log_gamma(0.75 + 0.5j * t).imag + 0.5 * t.real * math.log(q / math.pi)
+    return (np.exp(1j * theta) * specfun.dirichlet_L(0.5 + 1j * t, D)).real
 
 
 def _bisect_real(f, lo: float, hi: float, tol: float = 1e-10) -> float:
@@ -394,11 +393,13 @@ def _bisect_real(f, lo: float, hi: float, tol: float = 1e-10) -> float:
 def scan_zeros(f, lo: float, hi: float, step: float = 0.02) -> list[float]:
     """Sign changes of a real f on a grid over [lo, hi], bisected to 1e-10.
 
-    The grid ends exactly at hi, so no zero past the interval is reported.
+    ``f`` follows the library's calling rule: it gets the whole grid as one
+    array, then one float per bisection step.  The grid ends exactly at hi,
+    so no zero past the interval is reported.
     """
     ts = np.arange(lo, hi + step, step)
     ts = np.append(ts[ts < hi], hi)
-    vals = np.array([f(t) for t in ts])
+    vals = f(ts)
     out = []
     for i in np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]:
         out.append(_bisect_real(f, float(ts[i]), float(ts[i + 1])))
@@ -441,14 +442,12 @@ def repulsion_experiment(D: int, a: float, tau_lo: float, tau_hi: float,
         track = specfun.psi_arg_xi(tau_hi + 1.0)
     cache = _LineCache(D, cfg.T, cfg.nodes_per_panel)
 
-    def theta(t: float) -> float:
-        return _phase(track, a, t)
-
-    cos_zeros = scan_zeros(lambda t: math.cos(theta(t)), tau_lo, tau_hi, step=0.01)
+    cos_zeros = scan_zeros(lambda t: np.cos(_phase(track, a, t)), tau_lo, tau_hi, step=0.01)
 
     def W(t: float) -> float:
-        return (math.cos(theta(t)) * _j_from_cache(cache, t)
-                - math.sin(theta(t)) * cache.theta_sq(t) / (2.0 * t))
+        th, F_tau = _phase(track, a, t), cache.theta_sq(t)
+        return (math.cos(th) * _j_from_cache(cache, t, F_tau)
+                - math.sin(th) * F_tau / (2.0 * t))
 
     intervals = []
     all_unique = True

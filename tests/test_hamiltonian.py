@@ -65,6 +65,19 @@ def test_fd_laplacian_power_eigenfunction():
         assert abs(lap - s * (s - 1.0) * z.imag ** s) < 5e-9
 
 
+def test_fd_laplacian_evaluates_nine_points():
+    # the centre is shared by the h and h/2 stencils, so f runs 9 times, not 10
+    seen = []
+
+    def f(p):
+        seen.append(p)
+        return p.imag ** 1.6
+
+    z = 0.3 + 1.4j
+    hamiltonian.fd_laplacian(f, z, 1e-3)
+    assert len(seen) == 9 and len(set(seen)) == 9 and seen[0] == z
+
+
 def test_fd_laplacian_harmonic_and_guard():
     z = 0.2 + 1.1j
     assert abs(hamiltonian.fd_laplacian(lambda p: p.real, z, 1e-3)) < 1e-10

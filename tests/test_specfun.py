@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zetalab import eisenstein, specfun
+from zetalab import eisenstein, specfun, spectral
 
 # independently known constants
 CATALAN = 0.9159655941772190
@@ -130,23 +130,24 @@ def test_dirichlet_L_direct_series():
     assert abs(complex(specfun.dirichlet_L(2.0, -4)) - partial) < 1e-9
 
 
-# the seven functions under one calling rule: (name, extra arguments, a 2-D
-# batch of s away from the poles with a real first entry; the batches reach
-# the reflection branches and the s = 1 branch of dirichlet_L)
+# the functions under one calling rule with a complex value: (function,
+# extra arguments, a 2-D batch of s away from the poles with a real first
+# entry; the batches reach the reflection branches and the s = 1 branch of
+# dirichlet_L)
 _ELEMENTWISE = [
-    ("log_gamma", (), [[2.0, 0.5 + 20j], [-3.5 + 2j, 1.5 - 7j]]),
-    ("digamma", (), [[2.0, 0.5 + 20j], [-3.5 + 2j, 1.5 - 7j]]),
-    ("riemann_zeta", (), [[2.0, 0.5 + 20j], [-3.5 + 2j, 1.5 - 7j]]),
-    ("hurwitz_zeta", (0.3,), [[2.5, 1.2 + 3j], [0.5 + 20j, 2.0 - 1j]]),
-    ("dirichlet_L", (-7,), [[1.5, 0.5 + 10j], [2.0 - 3j, 1.0]]),
-    ("xi_log", (), [[2.0, 0.5 + 20j], [-3.5 + 2j, 1.5 - 7j]]),
-    ("xi_completed", (), [[2.0, 0.5 + 20j], [-3.5 + 2j, 1.5 - 7j]]),
+    (specfun.log_gamma, (), [[2.0, 0.5 + 20j], [-3.5 + 2j, 1.5 - 7j]]),
+    (specfun.digamma, (), [[2.0, 0.5 + 20j], [-3.5 + 2j, 1.5 - 7j]]),
+    (specfun.riemann_zeta, (), [[2.0, 0.5 + 20j], [-3.5 + 2j, 1.5 - 7j]]),
+    (specfun.hurwitz_zeta, (0.3,), [[2.5, 1.2 + 3j], [0.5 + 20j, 2.0 - 1j]]),
+    (specfun.dirichlet_L, (-7,), [[1.5, 0.5 + 10j], [2.0 - 3j, 1.0]]),
+    (specfun.xi_log, (), [[2.0, 0.5 + 20j], [-3.5 + 2j, 1.5 - 7j]]),
+    (specfun.xi_completed, (), [[2.0, 0.5 + 20j], [-3.5 + 2j, 1.5 - 7j]]),
+    (eisenstein.c_scattering, (), [[2.0, 0.5 + 20j], [-3.5 + 2j, 1.5 - 7j]]),
 ]
 
 
-@pytest.mark.parametrize("name, args, s", _ELEMENTWISE, ids=[c[0] for c in _ELEMENTWISE])
-def test_calling_rule(name, args, s):
-    f = getattr(specfun, name)
+@pytest.mark.parametrize("f, args, s", _ELEMENTWISE, ids=[c[0].__name__ for c in _ELEMENTWISE])
+def test_calling_rule(f, args, s):
     s = np.array(s, dtype=complex)
     before = s.copy()
     out = f(s, *args)
@@ -187,6 +188,29 @@ def test_batch_equals_scalar_bit_for_bit(f):
     assert f(_TALL_BATCH[::-3]).tobytes() == batch[::-3].tobytes()
     empty = f(np.empty(0, dtype=complex))
     assert isinstance(empty, np.ndarray) and empty.shape == (0,)
+
+
+# real-valued functions of a real height under the same rule: a float for
+# a scalar, a float array of the batch's shape, batch equal to scalar
+_TRACK = specfun.psi_arg_xi(40.0)
+_REAL_VALUED = [
+    ("hardy_rotation_zeta", spectral.hardy_rotation_zeta),
+    ("hardy_rotation_L", lambda t: spectral.hardy_rotation_L(t, -7)),
+    ("ArgTrack.value", _TRACK.value),
+    ("ArgTrack.derivative", _TRACK.derivative),
+]
+
+
+@pytest.mark.parametrize("f", [c[1] for c in _REAL_VALUED], ids=[c[0] for c in _REAL_VALUED])
+def test_real_valued_calling_rule(f):
+    t = np.array([[0.3, 7.0, 14.134725, 37.6], [60.0, 300.0, 999.9, 1200.0]])
+    out = f(t)
+    assert out.dtype == float and out.shape == t.shape
+    for v in (14.134725, np.float64(14.134725), np.array(14.134725), 14):
+        assert isinstance(f(v), float)
+    scalar = np.array([f(float(v)) for v in t.flat])
+    assert scalar.tobytes() == out.ravel().tobytes()
+    assert f(t[:, ::-3]).tobytes() == out[:, ::-3].tobytes()
 
 
 def test_em_cutoff_per_point(monkeypatch):

@@ -150,23 +150,26 @@ def line_cache():
 
 
 def test_j_function_finite_and_window_stable(line_cache):
-    val = spectral._j_from_cache(line_cache, 8.0)
+    F_tau = line_cache.theta_sq(8.0)
+    val = spectral._j_from_cache(line_cache, 8.0, F_tau)
     assert math.isfinite(val)
     assert abs(spectral.J_function(0.5 + 8.0j, -4) - val) < 1e-12
     # halving the interpolation window must not move the value much
-    narrow = spectral._j_from_cache(line_cache, 8.0, window=0.03125)
+    narrow = spectral._j_from_cache(line_cache, 8.0, F_tau, window=0.03125)
     assert abs(narrow - val) < 0.05 * abs(val)
 
 
 def test_j_function_sign_change(line_cache):
+    def J(t):
+        return spectral._j_from_cache(line_cache, t, line_cache.theta_sq(t))
+
     taus = np.arange(5.0, 20.0, 0.25)
-    vals = np.array([spectral._j_from_cache(line_cache, t) for t in taus])
+    vals = np.array([J(t) for t in taus])
     flips = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
     assert len(flips) >= 1
     i = flips[0]
-    root = spectral._bisect_real(lambda t: spectral._j_from_cache(line_cache, t),
-                                 float(taus[i]), float(taus[i + 1]), tol=1e-6)
-    assert abs(spectral._j_from_cache(line_cache, root)) < 1e-4 * np.max(np.abs(vals))
+    root = spectral._bisect_real(J, float(taus[i]), float(taus[i + 1]), tol=1e-6)
+    assert abs(J(root)) < 1e-4 * np.max(np.abs(vals))
 
 
 def test_j_function_validation():
@@ -186,6 +189,24 @@ def test_zeta_k_zeros_stay_inside_interval():
     zeros = spectral.zeta_k_line_zeros(-4, 35.58, 37.58)
     assert zeros
     assert all(35.58 <= z <= 37.58 for z in zeros)
+
+
+def test_zero_scan_grid_is_one_call_per_factor(monkeypatch):
+    # each factor's grid is one batched Hardy call; every other call is one
+    # float of a bisection: f(lo), then one per halving of the 0.02 cell
+    # down to 1e-10 (28 halvings)
+    dims = {}
+    for name in ("hardy_rotation_zeta", "hardy_rotation_L"):
+        def counted(t, *args, f=getattr(spectral, name), name=name):
+            dims.setdefault(name, []).append(np.ndim(t))
+            return f(t, *args)
+        monkeypatch.setattr(spectral, name, counted)
+    zeros = spectral.zeta_k_line_zeros(-4, 14.0, 16.0)
+    assert any(abs(z - ZETA_ZERO_1) < 1e-9 for z in zeros)
+    assert sorted(dims) == ["hardy_rotation_L", "hardy_rotation_zeta"]
+    for calls in dims.values():
+        assert calls[0] == 1 and calls[1:].count(1) == 0
+    assert sum(len(calls) - 1 for calls in dims.values()) == 29 * len(zeros)
 
 
 def test_theta_pairing_vanishes_at_zeta_k_zero(line_cache):
