@@ -119,13 +119,14 @@ def gl_grid(lo: float, hi: float, panel_width: float, nodes: int):
 # exotic roots and spacing
 # ---------------------------------------------------------------------------
 
-def _scattering_residual(t: float, a: float) -> float:
-    """|a^w + c_w a^{1-w}| at w = 1/2 + it, by the original complex equation."""
-    w = 0.5 + 1j * t
-    return abs(a ** w + eisenstein.c_scattering(w) * a ** (1.0 - w))
+def _scattering_residual(t: np.ndarray, a: float) -> list[float]:
+    """|a^w + c_w a^{1-w}| at each w = 1/2 + it, by the original complex equation."""
+    w = 0.5 + 1j * t  # powers in Python complex: numpy's array power moves last bits
+    return [abs(a ** wk + ck * a ** (1.0 - wk))
+            for wk, ck in zip(w.tolist(), eisenstein.c_scattering(w).tolist())]
 
 
-def _psi_exact(track: specfun.ArgTrack, t: float) -> float:
+def _psi_exact(track: specfun.ArgTrack, t: np.ndarray) -> np.ndarray:
     """psi(t) recomputed from xi, branch-matched to the interpolated track.
 
     The track's linear interpolation carries O(step^2 * psi'') error, which
@@ -134,15 +135,11 @@ def _psi_exact(track: specfun.ArgTrack, t: float) -> float:
     """
     raw = specfun.xi_log(1.0 + 2j * t).imag
     approx = track.value(t)
-    return raw + 2.0 * math.pi * round((approx - raw) / (2.0 * math.pi))
+    return raw + 2.0 * math.pi * np.round((approx - raw) / (2.0 * math.pi))
 
 
 def _phase(track: specfun.ArgTrack, a: float, t):
     return t * math.log(a) + track.value(t)
-
-
-def _phase_exact(track: specfun.ArgTrack, a: float, t: float) -> float:
-    return t * math.log(a) + _psi_exact(track, t)
 
 
 def root_count_prediction(a: float, t_min: float, t_max: float,
@@ -158,8 +155,8 @@ def exotic_roots(a: float, t_min: float = 0.1, t_max: float = 50.0,
     """All w = 1/2 + it in [t_min, t_max] with a^w + c_w a^{1-w} = 0.
 
     Roots are bracketed as sign changes of cos(t log a + psi(t)) on a dense
-    grid, bisected to 1e-13 in t, and re-validated against the original
-    complex equation.
+    grid, bisected together to 1e-13 in t, and re-validated against the
+    original complex equation.
     """
     if a <= 1.0:
         raise ValueError("exotic_roots requires a > 1")
@@ -167,28 +164,27 @@ def exotic_roots(a: float, t_min: float = 0.1, t_max: float = 50.0,
         warnings.warn("a < 2: the truncation theory assumes a well above 1")
     if t_min < 0.1:
         raise ValueError("t_min must be >= 0.1")
+    if not t_min < t_max:
+        raise ValueError("t_min must be below t_max")
     if track is None:
         track = specfun.psi_arg_xi(t_max + 1.0)
 
-    def f(t: float) -> float:
-        return math.cos(_phase_exact(track, a, t))
+    def f(t: np.ndarray) -> np.ndarray:
+        return np.cos(t * math.log(a) + _psi_exact(track, t))
 
     ts = np.arange(t_min, t_max + 0.005, 0.005)
     phi = np.cos(_phase(track, a, ts))
-    roots: list[SpectralRoot] = []
-    sign_change = np.nonzero(np.sign(phi[:-1]) * np.sign(phi[1:]) < 0)[0]
-    for i in sign_change:
-        # widen the bracket: interpolation error can push the exact root
-        # slightly outside the grid cell that showed the sign change
-        lo = max(t_min, float(ts[i]) - 0.01)
-        hi = min(t_max, float(ts[i + 1]) + 0.01)
-        if f(lo) * f(hi) > 0:
-            continue  # interpolation artifact, no true crossing here
-        t = _bisect_real(f, lo, hi, tol=1e-13)
-        roots.append(SpectralRoot(
-            t=t, w=0.5 + 1j * t, lam=-0.25 - t * t,
-            residual=_scattering_residual(t, a), a=a))
-    return roots
+    i = np.nonzero(np.sign(phi[:-1]) * np.sign(phi[1:]) < 0)[0]
+    # widen the brackets: interpolation error can push the exact root
+    # slightly outside the grid cell that showed the sign change
+    lo = np.maximum(t_min, ts[i] - 0.01)
+    hi = np.minimum(t_max, ts[i + 1] + 0.01)
+    ends = f(np.concatenate([lo, hi]))
+    # same-sign ends are interpolation artifacts, no true crossing there
+    crossing = ~(ends[:i.size] * ends[i.size:] > 0)
+    t = _bisect(f, lo[crossing], hi[crossing], tol=1e-13)
+    return [SpectralRoot(t=tk, w=0.5 + 1j * tk, lam=-0.25 - tk * tk, residual=res, a=a)
+            for tk, res in zip(t.tolist(), _scattering_residual(t, a))]
 
 
 def spacing_statistics(roots: list[SpectralRoot],
@@ -205,17 +201,13 @@ def spacing_statistics(roots: list[SpectralRoot],
     if len(roots) < 3:
         raise ValueError("need at least 3 roots for spacing statistics")
     a = roots[0].a
-    rows = []
-    for r0, r1 in zip(roots, roots[1:]):
-        mid = 0.5 * (r0.t + r1.t)
-        gap = r1.t - r0.t
-        half = 0.5 * gap
-        psi_slope = (_psi_exact(track, mid + half)
-                     - _psi_exact(track, mid - half)) / gap
-        comp = math.pi / (math.log(a) + psi_slope)
-        rows.append(SpacingRow(t=mid, gap=gap, comparator=comp,
-                               pi_over_log_t=math.pi / math.log(mid)))
-    return rows
+    t = np.array([r.t for r in roots])
+    mid = 0.5 * (t[:-1] + t[1:])
+    gap = t[1:] - t[:-1]
+    psi = _psi_exact(track, np.concatenate([mid + 0.5 * gap, mid - 0.5 * gap]))
+    comp = math.pi / (math.log(a) + (psi[:gap.size] - psi[gap.size:]) / gap)
+    return [SpacingRow(t=m, gap=g, comparator=c, pi_over_log_t=math.pi / math.log(m))
+            for m, g, c in zip(mid.tolist(), gap.tolist(), comp.tolist())]
 
 
 # ---------------------------------------------------------------------------
@@ -323,10 +315,9 @@ class _LineCache:
         s = 0.5 + 1j * self.taus
         self.F = np.abs(eisenstein.cm_line_values(D, s)) ** 2
 
-    def theta_sq(self, tau: float) -> float:
-        """|thetaE_w|^2 at w = 1/2 + i tau (pairing against E at tau_D)."""
-        val = eisenstein.cm_line_values(self.D, np.array([0.5 + 1j * tau]))[0]
-        return float(abs(val) ** 2)
+    def theta_sq(self, tau):
+        """|thetaE_w|^2 at each w = 1/2 + i tau (pairing against E at tau_D)."""
+        return np.abs(eisenstein.cm_line_values(self.D, 0.5 + 1j * np.asarray(tau))) ** 2
 
 
 def _j_from_cache(cache: _LineCache, tau: float, F_tau: float, window: float = 0.0625) -> float:
@@ -376,34 +367,43 @@ def hardy_rotation_L(t, D: int):
     return (np.exp(1j * theta) * specfun.dirichlet_L(0.5 + 1j * t, D)).real
 
 
-def _bisect_real(f, lo: float, hi: float, tol: float = 1e-10) -> float:
-    flo = f(lo)
+def _bisect(f, lo: np.ndarray, hi: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+    """Bisect every bracket [lo_k, hi_k] of a sign change of f, in lockstep.
+
+    Each step calls ``f`` once, on the midpoints of the brackets still open
+    (one stops when it is narrower than tol, all after 80 steps), so every
+    bracket takes exactly the steps it would take alone.  No bracket, no call.
+    """
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    k = np.arange(lo.size)  # the brackets still open
+    flo = f(lo) if k.size else lo
     for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if flo * fm <= 0:
-            hi = mid
-        else:
-            lo, flo = mid, fm
-        if hi - lo < tol:
+        if not k.size:
             break
+        mid = 0.5 * (lo[k] + hi[k])
+        fm = f(mid)
+        left = flo[k] * fm <= 0
+        hi[k[left]] = mid[left]
+        lo[k[~left]], flo[k[~left]] = mid[~left], fm[~left]
+        k = k[~(hi[k] - lo[k] < tol)]
     return 0.5 * (lo + hi)
 
 
 def scan_zeros(f, lo: float, hi: float, step: float = 0.02) -> list[float]:
     """Sign changes of a real f on a grid over [lo, hi], bisected to 1e-10.
 
-    ``f`` follows the library's calling rule: it gets the whole grid as one
-    array, then one float per bisection step.  The grid ends exactly at hi,
-    so no zero past the interval is reported.
+    ``f`` follows the library's calling rule and only ever gets arrays: the
+    whole grid in one call, then the open brackets' midpoints once per
+    bisection step.  The grid ends exactly at hi, so no zero past the
+    interval is reported.
     """
+    if not lo < hi:
+        raise ValueError("the scan window needs lo < hi")
     ts = np.arange(lo, hi + step, step)
     ts = np.append(ts[ts < hi], hi)
     vals = f(ts)
-    out = []
-    for i in np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]:
-        out.append(_bisect_real(f, float(ts[i]), float(ts[i + 1])))
-    return out
+    i = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
+    return _bisect(f, ts[i], ts[i + 1]).tolist()
 
 
 def zeta_k_line_zeros(D: int, t_lo: float, t_hi: float) -> list[float]:
@@ -440,32 +440,28 @@ def repulsion_experiment(D: int, a: float, tau_lo: float, tau_hi: float,
         cfg = ContourConfig(T=120.0)
     if track is None:
         track = specfun.psi_arg_xi(tau_hi + 1.0)
+    cos_zeros = np.array(scan_zeros(lambda t: np.cos(_phase(track, a, t)),
+                                    tau_lo, tau_hi, step=0.01))
     cache = _LineCache(D, cfg.T, cfg.nodes_per_panel)
 
-    cos_zeros = scan_zeros(lambda t: np.cos(_phase(track, a, t)), tau_lo, tau_hi, step=0.01)
-
-    def W(t: float) -> float:
+    def W(t: np.ndarray) -> np.ndarray:
         th, F_tau = _phase(track, a, t), cache.theta_sq(t)
-        return (math.cos(th) * _j_from_cache(cache, t, F_tau)
-                - math.sin(th) * F_tau / (2.0 * t))
+        J = np.array([_j_from_cache(cache, tk, Fk) for tk, Fk in zip(t.tolist(), F_tau)])
+        return np.cos(th) * J - np.sin(th) * F_tau / (2.0 * t)
 
-    intervals = []
-    all_unique = True
-    for lo, hi in zip(cos_zeros, cos_zeros[1:]):
-        # closed interval: at the cosine zeros W = -/+ sin(Theta) |thetaE|^2/(2t)
-        # alternates sign exactly, so a crossing always exists even when a
-        # zeta_K zero pins it arbitrarily close to an endpoint
-        grid = np.linspace(lo, hi, 41)
-        vals = np.array([W(t) for t in grid])
-        flips = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
-        root = None
-        if len(flips) >= 1:
-            i = flips[0]
-            root = _bisect_real(W, float(grid[i]), float(grid[i + 1]), tol=1e-8)
-        if len(flips) != 1:
-            all_unique = False
-        intervals.append((lo, hi, int(len(flips)), root))
-
-    zk = zeta_k_line_zeros(D, tau_lo, tau_hi)
-    return RepulsionReport(D=D, a=a, intervals=intervals, zk_zeros=zk,
-                           unique_per_interval=all_unique)
+    # closed intervals between consecutive cosine zeros: there
+    # W = -/+ sin(Theta) |thetaE|^2/(2t) alternates sign exactly, so a crossing
+    # always exists even when a zeta_K zero pins it arbitrarily close to an end
+    lo, hi = cos_zeros[:-1], cos_zeros[1:]
+    grid = np.linspace(lo, hi, 41, axis=1)
+    vals = W(grid.ravel()).reshape(grid.shape)
+    flips = np.sign(vals[:, :-1]) * np.sign(vals[:, 1:]) < 0
+    counts = flips.sum(axis=1)
+    k = np.nonzero(counts)[0]  # bisect each interval's first flip
+    i = flips[k].argmax(axis=1)
+    roots = np.full(lo.size, None)
+    roots[k] = _bisect(W, grid[k, i], grid[k, i + 1], tol=1e-8).tolist()
+    intervals = list(zip(lo.tolist(), hi.tolist(), counts.tolist(), roots.tolist()))
+    return RepulsionReport(D=D, a=a, intervals=intervals,
+                           zk_zeros=zeta_k_line_zeros(D, tau_lo, tau_hi),
+                           unique_per_interval=bool(np.all(counts == 1)))

@@ -174,6 +174,16 @@ def test_usage_errors():
     assert run(["epstein", "--Q", "@/nonexistent.json", "--s", "2"])[0] == 2
 
 
+@pytest.mark.parametrize("argv", [["exotic-roots"], ["spacing"], ["repulsion", "--D", "-4"]],
+                         ids=lambda argv: argv[0])
+def test_reversed_window_is_usage_error(argv):
+    # t_min >= t_max is misuse, not an empty result or a non-convergence
+    for t_min, t_max in (("20", "10"), ("12", "12")):
+        code, out, err = run(argv + ["--a", "5", "--t-min", t_min, "--t-max", t_max])
+        assert (code, out) == (2, "")
+        assert err.startswith("error:")
+
+
 def test_tolerance_exit_code():
     # an impossible tolerance turns a passing check into exit code 1
     code, _, _ = run(["kronecker", "--z", "0,1", "--tol", "1e-30"])

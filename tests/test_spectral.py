@@ -64,6 +64,43 @@ def test_exotic_roots_validation():
         spectral.exotic_roots(10.0, 0.0, 10.0)
 
 
+def test_reversed_windows_raise():
+    for t_min, t_max in ((20.0, 10.0), (10.0, 10.0)):
+        with pytest.raises(ValueError):
+            spectral.exotic_roots(5.0, t_min, t_max)
+        with pytest.raises(ValueError):
+            spectral.scan_zeros(spectral.hardy_rotation_zeta, t_min, t_max)
+    with pytest.raises(ValueError):
+        spectral.zeta_k_line_zeros(-4, 20.0, 10.0)
+    with pytest.raises(ValueError):
+        spectral.repulsion_experiment(-4, 10.0, 20.0, 10.0)
+
+
+def _count_calls(monkeypatch, module, name, arg=0):
+    """Record np.ndim and np.size of argument ``arg`` of every call to module.name."""
+    calls = []
+
+    def counted(*args, f=getattr(module, name)):
+        calls.append((np.ndim(args[arg]), np.size(args[arg])))
+        return f(*args)
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_exotic_roots_and_spacing_work_counts(monkeypatch):
+    # every bracket is refined in lockstep: one array xi_log call per step
+    calls = _count_calls(monkeypatch, specfun, "xi_log")
+    roots = spectral.exotic_roots(5.0, 0.1, 50.0)
+    assert len(roots) == 55
+    assert len(calls) < 50
+    assert all(ndim == 1 for ndim, _ in calls)
+    # both ends of every gap in one call
+    track = specfun.psi_arg_xi(51.0)
+    calls.clear()
+    spectral.spacing_statistics(roots, track)
+    assert calls == [(1, 2 * (len(roots) - 1))]
+
+
 def test_spacing_statistics(roots_a10, track30):
     rows = spectral.spacing_statistics(roots_a10, track30)
     assert len(rows) == len(roots_a10) - 1
@@ -160,16 +197,17 @@ def test_j_function_finite_and_window_stable(line_cache):
 
 
 def test_j_function_sign_change(line_cache):
-    def J(t):
-        return spectral._j_from_cache(line_cache, t, line_cache.theta_sq(t))
+    def J(ts):
+        return np.array([spectral._j_from_cache(line_cache, t, F)
+                         for t, F in zip(ts, line_cache.theta_sq(ts))])
 
     taus = np.arange(5.0, 20.0, 0.25)
-    vals = np.array([J(t) for t in taus])
+    vals = J(taus)
     flips = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
     assert len(flips) >= 1
-    i = flips[0]
-    root = spectral._bisect_real(J, float(taus[i]), float(taus[i + 1]), tol=1e-6)
-    assert abs(J(root)) < 1e-4 * np.max(np.abs(vals))
+    i = flips[:1]
+    root = spectral._bisect(J, taus[i], taus[i + 1], tol=1e-6)
+    assert abs(J(root)[0]) < 1e-4 * np.max(np.abs(vals))
 
 
 def test_j_function_validation():
@@ -192,21 +230,67 @@ def test_zeta_k_zeros_stay_inside_interval():
 
 
 def test_zero_scan_grid_is_one_call_per_factor(monkeypatch):
-    # each factor's grid is one batched Hardy call; every other call is one
-    # float of a bisection: f(lo), then one per halving of the 0.02 cell
-    # down to 1e-10 (28 halvings)
-    dims = {}
-    for name in ("hardy_rotation_zeta", "hardy_rotation_L"):
-        def counted(t, *args, f=getattr(spectral, name), name=name):
-            dims.setdefault(name, []).append(np.ndim(t))
-            return f(t, *args)
-        monkeypatch.setattr(spectral, name, counted)
-    zeros = spectral.zeta_k_line_zeros(-4, 14.0, 16.0)
-    assert any(abs(z - ZETA_ZERO_1) < 1e-9 for z in zeros)
-    assert sorted(dims) == ["hardy_rotation_L", "hardy_rotation_zeta"]
-    for calls in dims.values():
-        assert calls[0] == 1 and calls[1:].count(1) == 0
-    assert sum(len(calls) - 1 for calls in dims.values()) == 29 * len(zeros)
+    # each factor's grid is one Hardy call, and all its brackets are bisected
+    # together: f(lo), then one call per halving of the 0.02 cell down to
+    # 1e-10 (28 halvings), so at most 30 array calls however many zeros
+    for lo, hi in ((14.0, 16.0), (14.0, 40.0)):
+        calls = {name: _count_calls(monkeypatch, spectral, name)
+                 for name in ("hardy_rotation_zeta", "hardy_rotation_L")}
+        zeros = spectral.zeta_k_line_zeros(-4, lo, hi)
+        assert any(abs(z - ZETA_ZERO_1) < 1e-9 for z in zeros)
+        for made in calls.values():
+            assert made and all(ndim == 1 for ndim, _ in made)
+            assert len(made) <= 30
+        monkeypatch.undo()
+    assert len(zeros) > 10
+
+
+def _reference_bisect(f, lo, hi, tol):
+    """The one-bracket bisection, written out with Python floats."""
+    flo = f(lo)
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        fm = f(mid)
+        if flo * fm <= 0:
+            hi = mid
+        else:
+            lo, flo = mid, fm
+        if hi - lo < tol:
+            break
+    return 0.5 * (lo + hi)
+
+
+def test_lockstep_bisection_matches_one_bracket_runs():
+    f = spectral.hardy_rotation_zeta
+    ts = np.arange(14.0, 50.0, 0.02)
+    vals = f(ts)
+    i = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
+    assert len(i) >= 8
+    for tol in (1e-10, 1e-13, 0.0):  # tol 0 runs every bracket to the 80-step cap
+        together = spectral._bisect(f, ts[i], ts[i + 1], tol)
+        alone = [spectral._bisect(f, ts[k:k + 1], ts[k + 1:k + 2], tol)[0] for k in i]
+        scalar = [_reference_bisect(f, float(ts[k]), float(ts[k + 1]), tol) for k in i]
+        assert together.tolist() == alone == scalar
+
+
+def test_lockstep_bisection_without_brackets_makes_no_call():
+    def f(t):
+        raise AssertionError("f called without a bracket")
+    assert spectral._bisect(f, np.array([]), np.array([]), 1e-10).size == 0
+
+
+def test_repulsion_work_counts(monkeypatch):
+    calls = _count_calls(monkeypatch, eisenstein, "cm_line_values", arg=1)
+    report = spectral.repulsion_experiment(-4, 10.0, 10.0, 20.0, spectral.ContourConfig(T=120.0))
+    assert report.unique_per_interval and len(report.intervals) >= 10
+    assert len(calls) < 40
+    assert all(ndim == 1 and size > 1 for ndim, size in calls)
+
+
+def test_repulsion_without_two_cosine_zeros_has_no_intervals():
+    # cos(Theta) has at most one zero in a window of 0.05 (its zeros are ~1.4 apart)
+    report = spectral.repulsion_experiment(-4, 10.0, 10.0, 10.05)
+    assert report.intervals == []
 
 
 def test_theta_pairing_vanishes_at_zeta_k_zero(line_cache):
