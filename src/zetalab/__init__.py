@@ -28,7 +28,7 @@ from .hamiltonian import (
     ground_state_residual,
     potential_q,
 )
-from .lattice import UpperHalfPoint, enumerate_vectors, gram_of_point, normalize_det, reduce_sl2
+from .lattice import enumerate_vectors, gram_of_point, normalize_det, reduce_sl2
 from .specfun import (
     ArgTrack,
     bessel_K,

@@ -49,31 +49,30 @@ class EisensteinValue:
     error_bound: float
 
 
-def eisenstein_sl2(z, s, tol: float = 1e-10) -> EisensteinValue:
-    """E_s(z) = Z_2(Q_z, s) / (2 zeta(2s))."""
-    w = lattice.as_point(z)
+def _eisenstein(point, Q: np.ndarray, s, tol: float) -> EisensteinValue:
+    """E = Z_r(Q, rs/2) / (2 zeta(rs)) for a det-1 r x r form Q."""
+    r = Q.shape[0]
     s = complex(s)
-    zeta2s = specfun.riemann_zeta(2.0 * s)
-    if abs(zeta2s) < 1e-8:
-        raise ZeroDivisionError("zeta(2s) vanishes too close to the requested s")
-    res = epstein.epstein_zeta(lattice.gram_of_point(w), s, tol)
-    return EisensteinValue(point=w, s=s, value=res.value / (2.0 * zeta2s),
-                           error_bound=res.error_bound / abs(2.0 * zeta2s))
+    zrs = specfun.riemann_zeta(r * s)
+    if abs(zrs) < 1e-8:
+        raise ZeroDivisionError(f"zeta({r}s) vanishes too close to the requested s")
+    res = epstein.epstein_zeta(Q, r * s / 2.0, tol)
+    return EisensteinValue(point=point, s=s, value=res.value / (2.0 * zrs),
+                           error_bound=res.error_bound / abs(2.0 * zrs))
+
+
+def eisenstein_sl2(z, s, tol: float = 1e-10) -> EisensteinValue:
+    """E_s(z) = Z_2(Q_z, s) / (2 zeta(2s)), the case r = 2 of :func:`eisenstein_slr`."""
+    w = lattice.as_point(z)
+    return _eisenstein(w, lattice.gram_of_point(w), s, tol)
 
 
 def eisenstein_slr(g_gram: np.ndarray, s, tol: float = 1e-10) -> EisensteinValue:
     """Degenerate Eisenstein series E^P_s(g) = Z_r(gg^T, rs/2)/(2 zeta(rs))."""
     Q = lattice.validate_gram(g_gram)
-    r = Q.shape[0]
     if abs(np.linalg.det(Q) - 1.0) > 1e-8:
         raise ValueError("eisenstein_slr expects a det-1 Gram matrix")
-    s = complex(s)
-    zrs = specfun.riemann_zeta(r * s)
-    if abs(zrs) < 1e-8:
-        raise ZeroDivisionError("zeta(rs) vanishes too close to the requested s")
-    res = epstein.epstein_zeta(Q, r * s / 2.0, tol)
-    return EisensteinValue(point=Q, s=s, value=res.value / (2.0 * zrs),
-                           error_bound=res.error_bound / abs(2.0 * zrs))
+    return _eisenstein(Q, Q, s, tol)
 
 
 @specfun.elementwise
@@ -236,19 +235,15 @@ def _cm_prefactor(D: int, s) -> np.ndarray:
 
 
 def heegner_zeta(s, D: int) -> complex:
-    """zeta_K(s) of K = Q(sqrt D) recovered from E_s at the principal CM point.
+    """zeta_K(s) = Z_2(Q_{tau_D}, s) / (2 (w_K/2)(sqrt|D|/2)^s) for K = Q(sqrt D).
 
-    Inverts E_s(tau_D) = (w_K/2)(sqrt|D|/2)^s zeta_K(s)/zeta(2s); the
-    prefactor was pinned by brute-force lattice sums (class number one, so
-    zeta_K = zeta * L(., chi_D) provides the cross-check).
+    This is E_s(tau_D) = (w_K/2)(sqrt|D|/2)^s zeta_K(s)/zeta(2s) with the
+    zeta(2s) of E_s cancelled; the prefactor was pinned by brute-force lattice
+    sums (class number one, so zeta_K = zeta * L(., chi_D) cross-checks it).
     """
-    if D not in CM_POINTS:
-        raise ValueError(f"unsupported discriminant {D}")
     s = complex(s)
-    tau = cm_point(D)
-    ev = eisenstein_sl2(tau, s)
-    zeta2s = specfun.riemann_zeta(2.0 * s)
-    return ev.value * zeta2s / complex(_cm_prefactor(D, s))
+    Z = epstein.epstein_zeta(lattice.gram_of_point(cm_point(D)), s).value
+    return Z / (2.0 * complex(_cm_prefactor(D, s)))
 
 
 def cm_line_values(D: int, s_values: np.ndarray) -> np.ndarray:

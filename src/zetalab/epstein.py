@@ -70,13 +70,6 @@ class LaurentExpansion:
     def coefficient(self, order: int) -> complex:
         return self.coefficients[order + 1]
 
-    def evaluate(self, s: complex) -> complex:
-        d = complex(s) - self.center
-        total = self.coefficients[0] / d
-        for k, a in enumerate(self.coefficients[1:]):
-            total += a * d ** k
-        return total
-
 
 def _sorted_x(Q: np.ndarray, x_cut: float) -> tuple[np.ndarray, np.ndarray]:
     """The sorted x = pi Q[v] <= x_cut over v != 0, with log x."""

@@ -13,7 +13,6 @@ Conventions (fixed once, used consistently by every check):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +20,6 @@ from . import lattice, specfun
 from .eisenstein import e1_star
 
 __all__ = [
-    "PotentialSample",
     "check_laplace_e1star",
     "commutator_check",
     "commutator_residuals",
@@ -32,19 +30,9 @@ __all__ = [
     "lowering_residual",
     "potential_q",
     "quat_mul",
-    "sample_potential",
 ]
 
 GROUND_EIGENVALUE = 3.0 / math.pi
-
-
-@dataclass(frozen=True)
-class PotentialSample:
-    z: complex
-    q: float
-    grad: tuple
-    lap_e1: float
-    h: float
 
 
 def grad_e1_star(z) -> tuple[float, float]:
@@ -67,26 +55,41 @@ def potential_q(z) -> float:
     return w.imag ** 2 * (gx * gx + gy * gy)
 
 
-def fd_laplacian(f, z, h: float = 1e-3) -> float:
-    """Hyperbolic Laplacian y^2 (f_xx + f_yy) by 5-point stencils.
+def _ground_state(p) -> float:
+    """The ground state e^{-E_1^*} at p."""
+    return math.exp(-e1_star(p))
 
-    One Richardson level over steps h and h/2 gives O(h^4) accuracy.
+
+def _ring(f, w: complex, step: float) -> tuple:
+    """f at w + step, w - step, w + i step and w - i step, in that order."""
+    x, y = w.real, w.imag
+    return (f(complex(x + step, y)), f(complex(x - step, y)),
+            f(complex(x, y + step)), f(complex(x, y - step)))
+
+
+def _stencil(f, w: complex, h: float) -> tuple:
+    """(f(w), y^2 (f_xx + f_yy) at w, the ring of step h) from 9 values of f.
+
+    The centre comes first and is shared by the rings of steps h and h/2;
+    one Richardson level over the two gives O(h^4) accuracy.
     """
-    w = lattice.as_point(z)
     if not h < w.imag / 10.0:
         raise ValueError("step h must be below y/10")
+    y = w.imag
+    c = f(w)
 
-    x, y = w.real, w.imag
-    c = f(w)  # the centre, shared by both stencils
+    def five_point(ring: tuple, step: float) -> float:
+        east, west, north, south = ring
+        return y * y * (east + west + north + south - 4.0 * c) / (step * step)
 
-    def five_point(step: float) -> float:
-        s = (f(complex(x + step, y)) + f(complex(x - step, y))
-             + f(complex(x, y + step)) + f(complex(x, y - step)) - 4.0 * c)
-        return y * y * s / (step * step)
+    ring = _ring(f, w, h)
+    lap = (4.0 * five_point(_ring(f, w, h / 2.0), h / 2.0) - five_point(ring, h)) / 3.0
+    return c, lap, ring
 
-    coarse = five_point(h)
-    fine = five_point(h / 2.0)
-    return (4.0 * fine - coarse) / 3.0
+
+def fd_laplacian(f, z, h: float = 1e-3) -> float:
+    """Hyperbolic Laplacian y^2 (f_xx + f_yy) by Richardson-improved 5-point stencils."""
+    return _stencil(f, lattice.as_point(z), h)[1]
 
 
 def check_laplace_e1star(z, h: float = 1e-3) -> tuple[float, float]:
@@ -98,19 +101,8 @@ def check_laplace_e1star(z, h: float = 1e-3) -> tuple[float, float]:
 def ground_state_residual(z, h: float = 1e-3) -> float:
     """|(-Delta + q) f - (3/pi) f| / |f| at z for f = exp(-E_1^*)."""
     w = lattice.as_point(z)
-
-    def f(p):
-        return math.exp(-e1_star(p))
-
-    lap = fd_laplacian(f, w, h)
-    fz = f(w)
+    fz, lap, _ = _stencil(_ground_state, w, h)
     return abs(-lap + potential_q(w) * fz - GROUND_EIGENVALUE * fz) / fz
-
-
-def sample_potential(z, h: float = 1e-3) -> PotentialSample:
-    w = lattice.as_point(z)
-    return PotentialSample(z=w, q=potential_q(w), grad=grad_e1_star(w),
-                           lap_e1=fd_laplacian(e1_star, w, h), h=h)
 
 
 # ---------------------------------------------------------------------------
@@ -129,35 +121,30 @@ def quat_mul(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     ])
 
 
-_J = np.array([0.0, 0.0, 1.0, 0.0])
-_K = np.array([0.0, 0.0, 0.0, 1.0])
+_ONE = np.array([1.0, 0.0, 0.0, 0.0])
+
+
+def _dirac(y: float, gx: float, gy: float) -> np.ndarray:
+    """D f = y (j d_x f + k d_y f) for a real f with gradient (gx, gy)."""
+    return y * np.array([0.0, 0.0, gx, gy])
+
+
+def _ring_dirac(ring: tuple, y: float, h: float) -> np.ndarray:
+    """D f by central differences over the ring of step h."""
+    east, west, north, south = ring
+    return _dirac(y, (east - west) / (2.0 * h), (north - south) / (2.0 * h))
 
 
 def _dirac_e1(z) -> np.ndarray:
     """D E_1^* = y (j d_x E_1^* + k d_y E_1^*) as a quaternion."""
     w = lattice.as_point(z)
-    gx, gy = grad_e1_star(w)
-    return w.imag * (gx * _J + gy * _K)
+    return _dirac(w.imag, *grad_e1_star(w))
 
 
 def dirac_apply(field, z, h: float = 1e-3) -> np.ndarray:
-    """D field = y (j d_x + k d_y) field by central differences.
-
-    ``field`` maps complex z to a quaternion 4-vector (scalars are lifted).
-    """
+    """D field = y (j d_x + k d_y) field by central differences, for a real-valued field."""
     w = lattice.as_point(z)
-    x, y = w.real, w.imag
-
-    def lift(p):
-        v = field(p)
-        v = np.asarray(v, dtype=float)
-        if v.shape == ():
-            v = np.array([float(v), 0.0, 0.0, 0.0])
-        return v
-
-    dx = (lift(complex(x + h, y)) - lift(complex(x - h, y))) / (2.0 * h)
-    dy = (lift(complex(x, y + h)) - lift(complex(x, y - h))) / (2.0 * h)
-    return y * (quat_mul(_J, dx) + quat_mul(_K, dy))
+    return _ring_dirac(_ring(field, w, h), w.imag, h)
 
 
 def lowering_residual(z, h: float = 1e-3) -> float:
@@ -167,12 +154,9 @@ def lowering_residual(z, h: float = 1e-3) -> float:
     measures only finite-difference error.
     """
     w = lattice.as_point(z)
-
-    def f(p):
-        return math.exp(-e1_star(p))
-
-    Lf = dirac_apply(f, w, h) + f(w) * _dirac_e1(w)
-    return float(np.linalg.norm(Lf)) / f(w)
+    fz = _ground_state(w)
+    Lf = dirac_apply(_ground_state, w, h) + fz * _dirac_e1(w)
+    return float(np.linalg.norm(Lf)) / fz
 
 
 def _bump(center: complex, radius: float):
@@ -201,26 +185,28 @@ def commutator_residuals(z, h: float = 1e-3) -> dict[str, float]:
     two Hamilton-product cross terms from stencil vs analytic gradients, and
     (D beta)^2 by an actual quaternion square -- so the residual genuinely
     measures the quaternion algebra ((D beta)^2 = -q), the gradient
-    consistency, and Delta beta = 3/pi.
+    consistency, and Delta beta = 3/pi.  One stencil of f and one of beta
+    per probe give every finite difference.
     """
     w = lattice.as_point(z)
     probes = {
-        "ground": (lambda p: math.exp(-e1_star(p)), w),
+        "ground": (_ground_state, w),
         "power": (lambda p: complex(p).imag ** 0.7, w),
         "bump": (_bump(complex(0.1, 1.5), 0.3), complex(0.15, 1.55)),
     }
     out = {}
     for name, (f, point) in probes.items():
-        fz = float(f(point))
-        Df = dirac_apply(f, point, h)
-        Dbeta_fd = dirac_apply(e1_star, point, h)
+        y = point.imag
+        fz, lap_f, ring_f = _stencil(f, point, h)
+        _, lap_beta, ring_beta = _stencil(e1_star, point, h)
+        Df = _ring_dirac(ring_f, y, h)
+        Dbeta_fd = _ring_dirac(ring_beta, y, h)
         Dbeta = _dirac_e1(point)
-        lap_beta = fd_laplacian(e1_star, point, h)
-        RLf = (-fd_laplacian(f, point, h) - lap_beta * fz) * np.array([1.0, 0, 0, 0]) \
+        RLf = (-lap_f - lap_beta * fz) * _ONE \
             + quat_mul(Dbeta_fd, Df) - quat_mul(Dbeta, Df) \
             - quat_mul(Dbeta, Dbeta) * fz
-        Sf = -fd_laplacian(f, point, h) + potential_q(point) * fz
-        residual_vec = (Sf - GROUND_EIGENVALUE * fz) * np.array([1.0, 0, 0, 0]) - RLf
+        Sf = -lap_f + potential_q(point) * fz
+        residual_vec = (Sf - GROUND_EIGENVALUE * fz) * _ONE - RLf
         out[name] = float(np.linalg.norm(residual_vec)) / max(abs(fz), 1e-12)
     return out
 

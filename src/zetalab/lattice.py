@@ -7,14 +7,11 @@ are plain python complex numbers with positive imaginary part.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
     "EnumerationCapError",
     "NotPositiveDefiniteError",
-    "UpperHalfPoint",
     "cholesky",
     "enumerate_vectors",
     "gram_of_point",
@@ -36,26 +33,8 @@ class EnumerationCapError(RuntimeError):
     """Short-vector enumeration exceeded the configured cap."""
 
 
-@dataclass(frozen=True)
-class UpperHalfPoint:
-    """z = x + iy with y > 0."""
-
-    x: float
-    y: float
-
-    def __post_init__(self):
-        if not self.y > 0:
-            raise ValueError("UpperHalfPoint requires y > 0")
-
-    @property
-    def z(self) -> complex:
-        return complex(self.x, self.y)
-
-
 def as_point(z) -> complex:
-    """Accept UpperHalfPoint or complex; return a validated complex."""
-    if isinstance(z, UpperHalfPoint):
-        return z.z
+    """z as a complex number; raises unless Im z > 0."""
     w = complex(z)
     if not w.imag > 0:
         raise ValueError("point must lie in the upper half plane")

@@ -71,6 +71,10 @@ class ContourConfig:
     T: float = 300.0
     nodes_per_unit: int = 32
 
+    def __post_init__(self):
+        if not self.T > 0:
+            raise ValueError("contour height T must be positive")
+
     @property
     def nodes_per_panel(self) -> int:
         return max(2, int(self.nodes_per_unit * _PANEL_WIDTH))

@@ -71,6 +71,14 @@ def test_heegner():
     assert json.loads(out)["rel_error"] < 1e-7
 
 
+@pytest.mark.parametrize("s, D", [("0.5,0", "-7"), ("0.25,7.0673625708673", "-4")])
+def test_heegner_where_zeta_2s_is_singular(s, D):
+    # zeta(2s) has its pole at s = 1/2 and its first zero at the second s
+    code, out, _ = run(["heegner", "--s", s, "--D", D])
+    assert code == 0
+    assert json.loads(out)["rel_error"] < 1e-9
+
+
 def test_potential_csv():
     code, out, _ = run(["potential", "--t-min", "2", "--t-max", "10",
                         "--count", "5", "--format", "csv"])
@@ -182,6 +190,16 @@ def test_reversed_window_is_usage_error(argv):
         code, out, err = run(argv + ["--a", "5", "--t-min", t_min, "--t-max", t_max])
         assert (code, out) == (2, "")
         assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [["greens-check", "--z", "0,1", "--s", "1.5,0", "--a", "3"],
+                                  ["repulsion", "--D", "-4", "--a", "10"]],
+                         ids=lambda argv: argv[0])
+def test_nonpositive_contour_height_is_usage_error(argv):
+    for T in ("-5", "0", "-20"):
+        code, out, err = run(argv + ["--T", T])
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "T must be positive" in err
 
 
 def test_tolerance_exit_code():

@@ -54,7 +54,7 @@ def test_slr_reduces_to_sl2():
     z, s = 0.2 + 1.5j, 1.4 + 0.6j
     a = eisenstein.eisenstein_slr(lattice.gram_of_point(z), s).value
     b = eisenstein.eisenstein_sl2(z, s).value
-    assert abs(a - b) / abs(b) < 1e-11
+    assert a == b  # one body: SL2 is the case r = 2
 
 
 def test_slr_rank3_brute_force():
@@ -141,6 +141,27 @@ def test_heegner_identity():
     oracle = (complex(specfun.riemann_zeta(1.2 + 0.8j))
               * complex(specfun.dirichlet_L(1.2 + 0.8j, -7)))
     assert abs(val - oracle) / abs(oracle) < 1e-8
+
+
+# zeta_K is finite where the E_s route divided by a pole or a zero:
+# s = 1/2 puts zeta(2s) at its pole, s = rho/2 puts it at the first zero rho
+HEEGNER_E_S_SINGULAR = [(0.5, -7), (0.25 + 7.0673625708673j, -4)]
+
+
+@pytest.mark.parametrize("s, D", HEEGNER_E_S_SINGULAR)
+def test_heegner_where_zeta_2s_is_singular(s, D):
+    val = eisenstein.heegner_zeta(s, D)
+    oracle = complex(specfun.riemann_zeta(s)) * complex(specfun.dirichlet_L(s, D))
+    assert abs(val - oracle) / abs(oracle) < 1e-9
+
+
+def test_eisenstein_raises_where_zeta_2s_vanishes():
+    # E_s itself has a pole where zeta(2s) = 0, on SL2 and on SL_r at r = 2
+    s = HEEGNER_E_S_SINGULAR[1][0]
+    with pytest.raises(ZeroDivisionError):
+        eisenstein.eisenstein_sl2(1j, s)
+    with pytest.raises(ZeroDivisionError):
+        eisenstein.eisenstein_slr(lattice.gram_of_point(1j), s)
 
 
 def test_heegner_exponent_is_s_not_half_s():

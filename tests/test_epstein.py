@@ -103,7 +103,8 @@ def test_laurent_reconstruction():
     assert abs(exp.residue - math.pi) < 1e-9
     for s in (center + 0.04, center + 0.03j):
         direct = epstein.epstein_zeta(Q, s).value
-        assert abs(exp.evaluate(s) - direct) / abs(direct) < 1e-7
+        series = sum(exp.coefficient(k) * (s - center) ** k for k in range(-1, 4))
+        assert abs(series - direct) / abs(direct) < 1e-7
 
 
 def test_laurent_analytic_center():

@@ -141,9 +141,29 @@ def test_commutator_residuals():
     assert hamiltonian.commutator_check(0.2 + 1.2j) == max(out.values())
 
 
-def test_sample_potential_consistency():
-    z = 0.15 + 1.4j
-    s = hamiltonian.sample_potential(z)
-    assert s.z == z
-    assert abs(s.q - hamiltonian.potential_q(z)) < 1e-15
-    assert abs(s.lap_e1 - hamiltonian.GROUND_EIGENVALUE) < 1e-6
+@pytest.fixture
+def e1_calls(monkeypatch):
+    calls = []
+
+    def counted(p):
+        calls.append(p)
+        return e1_star(p)
+
+    monkeypatch.setattr(hamiltonian, "e1_star", counted)
+    return calls
+
+
+@pytest.mark.parametrize("check, most", [(hamiltonian.commutator_residuals, 36),
+                                         (hamiltonian.lowering_residual, 5),
+                                         (hamiltonian.ground_state_residual, 9)],
+                         ids=lambda v: getattr(v, "__name__", str(v)))
+def test_e1_star_work_count(e1_calls, check, most):
+    # one stencil per function and point; each probe of the commutator check
+    # takes one of f and one of E_1^*, 9 nodes each
+    check(0.2 + 1.2j)
+    assert len(e1_calls) <= most
+
+
+def test_ground_state_residual_reuses_the_stencil_centre(e1_calls):
+    hamiltonian.ground_state_residual(0.2 + 1.2j)
+    assert len(e1_calls) == len(set(e1_calls)) == 9

@@ -76,6 +76,12 @@ def test_reversed_windows_raise():
         spectral.repulsion_experiment(-4, 10.0, 20.0, 10.0)
 
 
+def test_contour_height_must_be_positive():
+    for T in (-5.0, 0.0, float("nan")):
+        with pytest.raises(ValueError, match="T must be positive"):
+            spectral.ContourConfig(T=T)
+
+
 def _count_calls(monkeypatch, module, name, arg=0):
     """Record np.ndim and np.size of argument ``arg`` of every call to module.name."""
     calls = []
