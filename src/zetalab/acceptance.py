@@ -42,21 +42,20 @@ def _smooth_step(u: np.ndarray) -> np.ndarray:
     return a / (a + b)
 
 
-def brute_force_epstein(Q: np.ndarray, s: complex, R: float | None = None) -> complex:
+def brute_force_epstein(Q: np.ndarray, s: complex) -> complex:
     """Dirichlet-series oracle for Z_r(Q, s), Re s > r/2 only.
 
-    Sums Q[v]^{-s} with a smooth cutoff between R and 2R and replaces the
-    smoothed tail by its density integral; the smooth window makes the
-    lattice-vs-integral error decay faster than any power of R.  Shares no
-    code with the incomplete-gamma continuation.
+    Sums Q[v]^{-s} with a smooth cutoff between R = _BRUTE_RADII[r] and 2R
+    and replaces the smoothed tail by its density integral; the smooth window
+    makes the lattice-vs-integral error decay faster than any power of R.
+    Shares no code with the incomplete-gamma continuation.
     """
     Q = lattice.validate_gram(Q)
     r = Q.shape[0]
     s = complex(s)
     if s.real <= r / 2.0 + 0.5:
         raise ValueError("brute-force oracle needs Re s comfortably above r/2")
-    if R is None:
-        R = _BRUTE_RADII[r]
+    R = _BRUTE_RADII[r]
     vs = lattice.enumerate_vectors(Q, 2.0 * R)
     vals = lattice.quadratic_values(Q, vs)
     weight = 1.0 - _smooth_step((vals - R) / R)
@@ -72,9 +71,9 @@ def brute_force_epstein(Q: np.ndarray, s: complex, R: float | None = None) -> co
     return head + window + far_tail
 
 
-def _random_gram(rng: np.random.Generator, r: int, spread: float = 0.25) -> np.ndarray:
+def _random_gram(rng: np.random.Generator, r: int) -> np.ndarray:
     """Random well-conditioned det-1 form (eigenvalues near 1)."""
-    B = rng.normal(size=(r, r)) * spread
+    B = rng.normal(size=(r, r)) * 0.25
     Q = np.eye(r) + B @ B.T
     Qn, _ = lattice.normalize_det(Q)
     return Qn

@@ -39,17 +39,17 @@ __all__ = [
 ]
 
 EULER_GAMMA = 0.5772156649015328606
+_TOL = 1e-10  # Epstein tolerance of E_s on SLr, and the default on SL2
+_TERM_TOL = 1e-14  # relative size of the last term of the block limit's Bessel sum
 
 
 @dataclass(frozen=True)
 class EisensteinValue:
-    point: object  # complex z (SL2) or Gram matrix (SLr)
-    s: complex
     value: complex
     error_bound: float
 
 
-def _eisenstein(point, Q: np.ndarray, s, tol: float) -> EisensteinValue:
+def _eisenstein(Q: np.ndarray, s, tol: float) -> EisensteinValue:
     """E = Z_r(Q, rs/2) / (2 zeta(rs)) for a det-1 r x r form Q."""
     r = Q.shape[0]
     s = complex(s)
@@ -57,22 +57,21 @@ def _eisenstein(point, Q: np.ndarray, s, tol: float) -> EisensteinValue:
     if abs(zrs) < 1e-8:
         raise ZeroDivisionError(f"zeta({r}s) vanishes too close to the requested s")
     res = epstein.epstein_zeta(Q, r * s / 2.0, tol)
-    return EisensteinValue(point=point, s=s, value=res.value / (2.0 * zrs),
+    return EisensteinValue(value=res.value / (2.0 * zrs),
                            error_bound=res.error_bound / abs(2.0 * zrs))
 
 
-def eisenstein_sl2(z, s, tol: float = 1e-10) -> EisensteinValue:
+def eisenstein_sl2(z, s, tol: float = _TOL) -> EisensteinValue:
     """E_s(z) = Z_2(Q_z, s) / (2 zeta(2s)), the case r = 2 of :func:`eisenstein_slr`."""
-    w = lattice.as_point(z)
-    return _eisenstein(w, lattice.gram_of_point(w), s, tol)
+    return _eisenstein(lattice.gram_of_point(z), s, tol)
 
 
-def eisenstein_slr(g_gram: np.ndarray, s, tol: float = 1e-10) -> EisensteinValue:
+def eisenstein_slr(g_gram: np.ndarray, s) -> EisensteinValue:
     """Degenerate Eisenstein series E^P_s(g) = Z_r(gg^T, rs/2)/(2 zeta(rs))."""
     Q = lattice.validate_gram(g_gram)
     if abs(np.linalg.det(Q) - 1.0) > 1e-8:
         raise ValueError("eisenstein_slr expects a det-1 Gram matrix")
-    return _eisenstein(Q, Q, s, tol)
+    return _eisenstein(Q, s, _TOL)
 
 
 @specfun.elementwise
@@ -132,7 +131,7 @@ def _enum_with_values(M: np.ndarray, R: float):
     return vs, lattice.quadratic_values(M, vs)
 
 
-def terras_limit(Q: np.ndarray, ell: int, term_tol: float = 1e-14) -> float:
+def terras_limit(Q: np.ndarray, ell: int) -> float:
     """lim_{s->r/2}(Z_r(Q,s) - pi^{r/2}/(sqrt(det Q) Gamma(r/2)(s-r/2))).
 
     Block evaluation with D = Q_22 (lower-right (r-ell) block), A the Schur
@@ -176,7 +175,7 @@ def terras_limit(Q: np.ndarray, ell: int, term_tol: float = 1e-14) -> float:
     rec = math.pi ** (rl / 2.0) * math.gamma(ell / 2.0) / (math.sqrt(det_D) * g_half_r) * l_a
 
     # Bessel double sum; K_{ell/2}(w) <~ sqrt(pi/2w) e^{-w}, truncate at w ~ 36
-    w_max = max(36.0, -math.log(term_tol) + 4.0)
+    w_max = max(36.0, -math.log(_TERM_TOL) + 4.0)
     lam_a = float(np.min(np.linalg.eigvalsh(np.atleast_2d(A))))
     lam_di = float(np.min(np.linalg.eigvalsh(np.atleast_2d(Di))))
     us, qu = _enum_with_values(A, (w_max / (2 * math.pi)) ** 2 / lam_di + 1e-9)

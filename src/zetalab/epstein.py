@@ -57,11 +57,9 @@ class EvalResult:
 
 @dataclass(frozen=True)
 class LaurentExpansion:
-    """Coefficients a_{-1} .. a_k of a function about ``center``."""
+    """Coefficients a_{-1} .. a_k of a function about a centre."""
 
-    center: complex
     coefficients: list
-    radius: float
 
     @property
     def residue(self) -> complex:
@@ -171,14 +169,15 @@ def check_functional_equation(Q: np.ndarray, s) -> float:
     return abs(lam - lam_dual)
 
 
-def epstein_laurent(Q: np.ndarray, center, max_order: int = 1,
-                    radius: float = 0.1, nodes: int = 64,
-                    tol: float = 1e-8) -> LaurentExpansion:
+_RING_RADIUS, _RING_NODES, _RING_TOL = 0.1, 64, 1e-8  # Cauchy ring radius, first nodes, stop
+
+
+def epstein_laurent(Q: np.ndarray, center, max_order: int = 1) -> LaurentExpansion:
     """Laurent coefficients a_{-1} .. a_{max_order} of Z_r(Q, .) about ``center``.
 
-    Trapezoidal Cauchy integrals on |s - center| = radius; node count doubles
-    (up to 512) until the coefficients stabilize.  The nodes of a ring are
-    the even nodes of the next, so each doubling evaluates only the new ones.
+    Trapezoidal Cauchy integrals on |s - center| = 0.1; 64 nodes double (up
+    to 512) until the coefficients move by under 1e-8 relative.  The nodes of
+    a ring are the even nodes of the next, so a doubling evaluates only the new.
     """
     plan = _EpsteinPlan(Q)
     center = complex(center)
@@ -187,7 +186,7 @@ def epstein_laurent(Q: np.ndarray, center, max_order: int = 1,
     def coeffs(m: int, f_even: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
         # theta_{2k} at m nodes is theta_k at m/2 bit for bit: 2k/(2m) only doubles both
         theta = 2.0 * math.pi * np.arange(m) / m
-        ring = center + radius * np.exp(1j * theta)
+        ring = center + _RING_RADIUS * np.exp(1j * theta)
         if f_even is None:
             f = np.array([plan.evaluate(sv).value for sv in ring])
         else:
@@ -195,16 +194,16 @@ def epstein_laurent(Q: np.ndarray, center, max_order: int = 1,
             f[0::2] = f_even
             f[1::2] = [plan.evaluate(sv).value for sv in ring[1::2]]
         phases = np.exp(-1j * np.outer(orders, theta))
-        return (phases @ f) / m * radius ** (-orders.astype(float)), f
+        return (phases @ f) / m * _RING_RADIUS ** (-orders.astype(float)), f
 
-    prev, f = coeffs(nodes, None)
-    m = nodes
+    prev, f = coeffs(_RING_NODES, None)
+    m = _RING_NODES
     while m <= 256:
         m *= 2
         cur, f = coeffs(m, f)
         scale = np.max(np.abs(cur)) + 1.0
-        if np.max(np.abs(cur - prev)) < tol * scale:
-            return LaurentExpansion(center=center, coefficients=list(cur), radius=radius)
+        if np.max(np.abs(cur - prev)) < _RING_TOL * scale:
+            return LaurentExpansion(coefficients=list(cur))
         prev = cur
     raise LaurentConvergenceError("Laurent coefficients did not stabilize under node doubling")
 

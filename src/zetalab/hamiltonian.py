@@ -33,6 +33,7 @@ __all__ = [
 ]
 
 GROUND_EIGENVALUE = 3.0 / math.pi
+_H = 1e-3  # finite-difference step of every stencil check
 
 
 def grad_e1_star(z) -> tuple[float, float]:
@@ -48,11 +49,15 @@ def grad_e1_star(z) -> tuple[float, float]:
     return gx, gy
 
 
+def _q(y: float, gx: float, gy: float) -> float:
+    """y^2 (gx^2 + gy^2) for the gradient (gx, gy) of E_1^* at height y."""
+    return y ** 2 * (gx * gx + gy * gy)
+
+
 def potential_q(z) -> float:
     """q(z) = y^2 ((d_x E_1^*)^2 + (d_y E_1^*)^2) = -(D E_1^*)^2 >= 0."""
     w = lattice.as_point(z)
-    gx, gy = grad_e1_star(w)
-    return w.imag ** 2 * (gx * gx + gy * gy)
+    return _q(w.imag, *grad_e1_star(w))
 
 
 def _ground_state(p) -> float:
@@ -67,42 +72,41 @@ def _ring(f, w: complex, step: float) -> tuple:
             f(complex(x, y + step)), f(complex(x, y - step)))
 
 
-def _stencil(f, w: complex, h: float) -> tuple:
-    """(f(w), y^2 (f_xx + f_yy) at w, the ring of step h) from 9 values of f.
-
-    The centre comes first and is shared by the rings of steps h and h/2;
-    one Richardson level over the two gives O(h^4) accuracy.
-    """
+def _stencil(f, w: complex, h: float) -> list:
+    """The 9 values of f at w, on the ring of step h, then on the ring of step h/2."""
     if not h < w.imag / 10.0:
         raise ValueError("step h must be below y/10")
-    y = w.imag
-    c = f(w)
+    return [f(w), *_ring(f, w, h), *_ring(f, w, h / 2.0)]
 
-    def five_point(ring: tuple, step: float) -> float:
+
+def _laplacian(values: list, w: complex, h: float) -> float:
+    """y^2 (f_xx + f_yy) at w from :func:`_stencil`'s values, one Richardson level: O(h^4)."""
+    y, c = w.imag, values[0]
+
+    def five_point(ring: list, step: float) -> float:
         east, west, north, south = ring
         return y * y * (east + west + north + south - 4.0 * c) / (step * step)
 
-    ring = _ring(f, w, h)
-    lap = (4.0 * five_point(_ring(f, w, h / 2.0), h / 2.0) - five_point(ring, h)) / 3.0
-    return c, lap, ring
+    return (4.0 * five_point(values[5:], h / 2.0) - five_point(values[1:5], h)) / 3.0
 
 
-def fd_laplacian(f, z, h: float = 1e-3) -> float:
+def fd_laplacian(f, z, h: float = _H) -> float:
     """Hyperbolic Laplacian y^2 (f_xx + f_yy) by Richardson-improved 5-point stencils."""
-    return _stencil(f, lattice.as_point(z), h)[1]
+    w = lattice.as_point(z)
+    return _laplacian(_stencil(f, w, h), w, h)
 
 
-def check_laplace_e1star(z, h: float = 1e-3) -> tuple[float, float]:
+def check_laplace_e1star(z) -> tuple[float, float]:
     """fd Laplacian of E_1^* and its deviation from the constant 3/pi."""
-    value = fd_laplacian(e1_star, z, h)
+    value = fd_laplacian(e1_star, z)
     return value, abs(value - GROUND_EIGENVALUE)
 
 
-def ground_state_residual(z, h: float = 1e-3) -> float:
+def ground_state_residual(z, h: float = _H) -> float:
     """|(-Delta + q) f - (3/pi) f| / |f| at z for f = exp(-E_1^*)."""
     w = lattice.as_point(z)
-    fz, lap, _ = _stencil(_ground_state, w, h)
-    return abs(-lap + potential_q(w) * fz - GROUND_EIGENVALUE * fz) / fz
+    f = _stencil(_ground_state, w, h)
+    return abs(-_laplacian(f, w, h) + potential_q(w) * f[0] - GROUND_EIGENVALUE * f[0]) / f[0]
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +133,7 @@ def _dirac(y: float, gx: float, gy: float) -> np.ndarray:
     return y * np.array([0.0, 0.0, gx, gy])
 
 
-def _ring_dirac(ring: tuple, y: float, h: float) -> np.ndarray:
+def _ring_dirac(ring, y: float, h: float) -> np.ndarray:
     """D f by central differences over the ring of step h."""
     east, west, north, south = ring
     return _dirac(y, (east - west) / (2.0 * h), (north - south) / (2.0 * h))
@@ -141,13 +145,13 @@ def _dirac_e1(z) -> np.ndarray:
     return _dirac(w.imag, *grad_e1_star(w))
 
 
-def dirac_apply(field, z, h: float = 1e-3) -> np.ndarray:
+def dirac_apply(field, z) -> np.ndarray:
     """D field = y (j d_x + k d_y) field by central differences, for a real-valued field."""
     w = lattice.as_point(z)
-    return _ring_dirac(_ring(field, w, h), w.imag, h)
+    return _ring_dirac(_ring(field, w, _H), w.imag, _H)
 
 
-def lowering_residual(z, h: float = 1e-3) -> float:
+def lowering_residual(z) -> float:
     """|L e^{-E_1^*}| / e^{-E_1^*} with L = D + (D E_1^*) applied by stencils.
 
     The lowering operator annihilates the ground state exactly, so this
@@ -155,7 +159,7 @@ def lowering_residual(z, h: float = 1e-3) -> float:
     """
     w = lattice.as_point(z)
     fz = _ground_state(w)
-    Lf = dirac_apply(_ground_state, w, h) + fz * _dirac_e1(w)
+    Lf = dirac_apply(_ground_state, w) + fz * _dirac_e1(w)
     return float(np.linalg.norm(Lf)) / fz
 
 
@@ -169,7 +173,7 @@ def _bump(center: complex, radius: float):
     return f
 
 
-def commutator_residuals(z, h: float = 1e-3) -> dict[str, float]:
+def commutator_residuals(z) -> dict[str, float]:
     """Relative residual of S f - R L f = (3/pi) f for three probe functions.
 
     R L is expanded by the Leibniz rule under the scalar reduction
@@ -185,32 +189,33 @@ def commutator_residuals(z, h: float = 1e-3) -> dict[str, float]:
     two Hamilton-product cross terms from stencil vs analytic gradients, and
     (D beta)^2 by an actual quaternion square -- so the residual genuinely
     measures the quaternion algebra ((D beta)^2 = -q), the gradient
-    consistency, and Delta beta = 3/pi.  One stencil of f and one of beta
-    per probe give every finite difference.
+    consistency, and Delta beta = 3/pi.  One stencil of f per probe and one
+    of beta (the ground state's is e^{-beta} of it) and grad beta per point.
     """
     w = lattice.as_point(z)
+    bump_at = complex(0.15, 1.55)
+    beta = {p: (_stencil(e1_star, p, _H), grad_e1_star(p)) for p in (w, bump_at)}
     probes = {
-        "ground": (_ground_state, w),
-        "power": (lambda p: complex(p).imag ** 0.7, w),
-        "bump": (_bump(complex(0.1, 1.5), 0.3), complex(0.15, 1.55)),
+        "ground": ([math.exp(-b) for b in beta[w][0]], w),
+        "power": (_stencil(lambda p: complex(p).imag ** 0.7, w, _H), w),
+        "bump": (_stencil(_bump(complex(0.1, 1.5), 0.3), bump_at, _H), bump_at),
     }
     out = {}
     for name, (f, point) in probes.items():
-        y = point.imag
-        fz, lap_f, ring_f = _stencil(f, point, h)
-        _, lap_beta, ring_beta = _stencil(e1_star, point, h)
-        Df = _ring_dirac(ring_f, y, h)
-        Dbeta_fd = _ring_dirac(ring_beta, y, h)
-        Dbeta = _dirac_e1(point)
+        y, (b, grad) = point.imag, beta[point]
+        fz, lap_f, lap_beta = f[0], _laplacian(f, point, _H), _laplacian(b, point, _H)
+        Df = _ring_dirac(f[1:5], y, _H)
+        Dbeta_fd = _ring_dirac(b[1:5], y, _H)
+        Dbeta = _dirac(y, *grad)
         RLf = (-lap_f - lap_beta * fz) * _ONE \
             + quat_mul(Dbeta_fd, Df) - quat_mul(Dbeta, Df) \
             - quat_mul(Dbeta, Dbeta) * fz
-        Sf = -lap_f + potential_q(point) * fz
+        Sf = -lap_f + _q(y, *grad) * fz
         residual_vec = (Sf - GROUND_EIGENVALUE * fz) * _ONE - RLf
         out[name] = float(np.linalg.norm(residual_vec)) / max(abs(fz), 1e-12)
     return out
 
 
-def commutator_check(z, h: float = 1e-3) -> float:
+def commutator_check(z) -> float:
     """Max relative residual of the factorization identity over the probes."""
-    return max(commutator_residuals(z, h).values())
+    return max(commutator_residuals(z).values())

@@ -82,11 +82,11 @@ def quadratic_values(Q: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     return np.einsum("ij,jk,ik->i", V, np.asarray(Q, dtype=float), V)
 
 
-def enumerate_vectors(Q: np.ndarray, R: float, cap: int = ENUM_CAP) -> np.ndarray:
+def enumerate_vectors(Q: np.ndarray, R: float) -> np.ndarray:
     """All v in Z^r \\ {0} with Q[v] <= R (Fincke-Pohst on the Cholesky factor).
 
     Returns an integer array sorted lexicographically; vectors come in +/-
-    pairs since Q[-v] = Q[v].
+    pairs since Q[-v] = Q[v].  More than ``ENUM_CAP`` vectors raise.
     """
     if R <= 0:
         raise ValueError("R must be positive")
@@ -113,8 +113,8 @@ def enumerate_vectors(Q: np.ndarray, R: float, cap: int = ENUM_CAP) -> np.ndarra
             if level == 0:
                 if any(v):
                     found.append(tuple(v))
-                    if len(found) > cap:
-                        raise EnumerationCapError(f"more than {cap} vectors below R={R}")
+                    if len(found) > ENUM_CAP:
+                        raise EnumerationCapError(f"more than {ENUM_CAP} vectors below R={R}")
             else:
                 descend(level - 1, v, partial + U[:, level] * n, rem)
             v[level] = 0
@@ -122,8 +122,7 @@ def enumerate_vectors(Q: np.ndarray, R: float, cap: int = ENUM_CAP) -> np.ndarra
     descend(r - 1, [0] * r, np.zeros(r), float(R) * (1 + 1e-12))
     if not found:
         return np.zeros((0, r), dtype=int)
-    out = np.array(sorted(found), dtype=int)
-    return out
+    return np.array(sorted(found), dtype=int)
 
 
 def reduce_sl2(z) -> tuple[complex, np.ndarray]:

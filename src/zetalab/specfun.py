@@ -71,6 +71,9 @@ _BERNOULLI = [
 
 _STIRLING_RADIUS = 25.0
 _TWO_PI = 2.0 * math.pi
+_TOL = 1e-13  # relative stop of the incomplete gamma and K-Bessel iterations
+_PSI_T_MIN, _PSI_STEP = 1e-3, 0.05  # start and grid step of every psi track
+_ETA_TERMS, _E2_TERMS = 64, 80  # q-expansion lengths; |q| <= e^{-3 pi / 2} where they run
 
 
 def elementwise(core):
@@ -345,16 +348,16 @@ def _principal(d: np.ndarray) -> np.ndarray:
     return (d + math.pi) % _TWO_PI - math.pi
 
 
-def psi_arg_xi(t_max: float, step: float = 0.05, t_min: float = 1e-3) -> ArgTrack:
-    """Build the continuous branch of arg xi(1+2it) on [t_min, t_max].
+def psi_arg_xi(t_max: float) -> ArgTrack:
+    """Build the continuous branch of arg xi(1+2it) on [1e-3, t_max].
 
     Anchored at -pi/2 as t -> 0+ (the pole of xi at 1 gives
     xi(1+2it) ~ -i/(2t)).  The grid refines adaptively until consecutive
     psi steps stay below pi.
     """
-    if t_max <= t_min:
+    if t_max <= _PSI_T_MIN:
         raise ValueError("t_max must exceed t_min")
-    t = np.unique(np.concatenate([[t_min], np.arange(t_min, t_max, step), [t_max]]))
+    t = np.unique(np.append(np.arange(_PSI_T_MIN, t_max, _PSI_STEP), t_max))
     raw = _psi_raw(t)
     for _ in range(12):
         jumps = np.abs(_principal(np.diff(raw)))
@@ -377,24 +380,24 @@ def psi_arg_xi(t_max: float, step: float = 0.05, t_min: float = 1e-3) -> ArgTrac
 # incomplete gamma
 # ---------------------------------------------------------------------------
 
-def upper_incomplete_gamma(s, x: float, tol: float = 1e-13) -> complex:
+def upper_incomplete_gamma(s, x: float) -> complex:
     """Gamma(s, x) = int_x^oo u^{s-1} e^{-u} du for x > 0, entire in s."""
     if x <= 0:
         raise ValueError("upper_incomplete_gamma requires x > 0")
     s = complex(s)
     if x >= abs(s) + 1.0 or x >= 40.0:
-        return _upper_gamma_cf(s, x, tol)
-    return _upper_gamma_small_x(s, [x], tol)[0]
+        return _upper_gamma_cf(s, x)
+    return _upper_gamma_small_x(s, [x])[0]
 
 
-def _upper_gamma_small_x(s: complex, xs: list, tol: float) -> list:
+def _upper_gamma_small_x(s: complex, xs: list) -> list:
     """Gamma(s, x) for each x of a list with 0 < x < |s| + 1 and x < 40.
 
     Everything that depends on s alone is computed once for the whole list.
     """
     if s.real <= 0.5 and abs(s - round(s.real)) < 1e-8:
         # near a Gamma pole the splice cancels badly; the CF stays valid
-        return [_upper_gamma_cf(s, x, tol) for x in xs]
+        return [_upper_gamma_cf(s, x) for x in xs]
     # lift Re s above 0.5 with Gamma(s,x) = (Gamma(s+1,x) - x^s e^{-x})/s,
     # maintaining Gamma(s,x) = coeff*Gamma(s0,x) + shift, where shift is
     # -sum_k c_k x^{s_k} e^{-x} over the lift steps (c_k, s_k)
@@ -411,12 +414,12 @@ def _upper_gamma_small_x(s: complex, xs: list, tol: float) -> list:
         shift = 0.0 + 0.0j
         for c, sk in steps:
             shift = shift - c * cmath.exp(sk * math.log(x) - x)
-        lower = _lower_gamma_series(s0, x, tol)
+        lower = _lower_gamma_series(s0, x)
         out.append(coeff * (gamma_full - lower) + shift)
     return out
 
 
-def lower_incomplete_gamma(s, x: float, tol: float = 1e-13) -> complex:
+def lower_incomplete_gamma(s, x: float) -> complex:
     """gamma(s, x) = int_0^x u^{s-1} e^{-u} du (Re s > 0)."""
     if x <= 0:
         raise ValueError("lower_incomplete_gamma requires x > 0")
@@ -424,22 +427,22 @@ def lower_incomplete_gamma(s, x: float, tol: float = 1e-13) -> complex:
     if s.real <= 0:
         raise ValueError("lower_incomplete_gamma requires Re s > 0")
     if x >= abs(s) + 1.0 or x >= 40.0:
-        return cmath.exp(log_gamma(s)) - _upper_gamma_cf(s, x, tol)
-    return _lower_gamma_series(s, x, tol)
+        return cmath.exp(log_gamma(s)) - _upper_gamma_cf(s, x)
+    return _lower_gamma_series(s, x)
 
 
-def _lower_gamma_series(s: complex, x: float, tol: float) -> complex:
+def _lower_gamma_series(s: complex, x: float) -> complex:
     term = 1.0 / s
     total = term
     n = 0
-    while abs(term) > tol * abs(total) and n < 500:
+    while abs(term) > _TOL * abs(total) and n < 500:
         n += 1
         term *= x / (s + n)
         total += term
     return total * cmath.exp(s * math.log(x) - x)
 
 
-def _upper_gamma_cf(s: complex, x: float, tol: float) -> complex:
+def _upper_gamma_cf(s: complex, x: float) -> complex:
     tiny = 1e-290
     b = x + 1.0 - s
     c = 1.0 / tiny
@@ -457,12 +460,12 @@ def _upper_gamma_cf(s: complex, x: float, tol: float) -> complex:
         d = 1.0 / d
         delta = d * c
         f *= delta
-        if abs(delta - 1.0) < tol:
+        if abs(delta - 1.0) < _TOL:
             break
     return cmath.exp(s * math.log(x) - x) * f
 
 
-def regularized_upper_gamma_array(s: complex, xs: np.ndarray, tol: float = 1e-13) -> np.ndarray:
+def regularized_upper_gamma_array(s: complex, xs: np.ndarray) -> np.ndarray:
     """Vectorized Gamma(s, x) over an array of positive x (fixed s).
 
     Splits the array between the continued-fraction and power-series regimes;
@@ -473,14 +476,14 @@ def regularized_upper_gamma_array(s: complex, xs: np.ndarray, tol: float = 1e-13
     out = np.empty(xs.shape, dtype=complex)
     use_cf = (xs >= abs(s) + 1.0) | (xs >= 40.0)
     if use_cf.any():
-        out[use_cf] = _upper_gamma_cf_vec(s, xs[use_cf], tol)
+        out[use_cf] = _upper_gamma_cf_vec(s, xs[use_cf])
     rest = ~use_cf
     if rest.any():
-        out[rest] = _upper_gamma_small_x(s, xs[rest].tolist(), tol)
+        out[rest] = _upper_gamma_small_x(s, xs[rest].tolist())
     return out
 
 
-def _upper_gamma_cf_vec(s: complex, xs: np.ndarray, tol: float) -> np.ndarray:
+def _upper_gamma_cf_vec(s: complex, xs: np.ndarray) -> np.ndarray:
     tiny = 1e-290
     b = xs + 1.0 - s
     c = np.full(xs.shape, 1.0 / tiny, dtype=complex)
@@ -496,7 +499,7 @@ def _upper_gamma_cf_vec(s: complex, xs: np.ndarray, tol: float) -> np.ndarray:
         d = 1.0 / d
         delta = d * c
         f *= delta
-        if np.max(np.abs(delta - 1.0)) < tol:
+        if np.max(np.abs(delta - 1.0)) < _TOL:
             break
     return np.exp(s * np.log(xs) - xs) * f
 
@@ -505,7 +508,7 @@ def _upper_gamma_cf_vec(s: complex, xs: np.ndarray, tol: float) -> np.ndarray:
 # K-Bessel
 # ---------------------------------------------------------------------------
 
-def bessel_K(nu, z: float, tol: float = 1e-13) -> complex:
+def bessel_K(nu, z: float) -> complex:
     """K_nu(z) for z > 0 via K_nu(z) = int_0^oo e^{-z cosh v} cosh(nu v) dv.
 
     The substitution u = e^v symmetrizes the defining integral
@@ -527,7 +530,7 @@ def bessel_K(nu, z: float, tol: float = 1e-13) -> complex:
         v = np.arange(0.0, v_max + h, h)
         g = np.exp(-z * np.cosh(v)) * np.cosh(nu * v)
         total = h * (np.sum(g) - 0.5 * g[0])
-        if prev is not None and abs(total - prev) <= tol * abs(total) + 1e-300:
+        if prev is not None and abs(total - prev) <= _TOL * abs(total) + 1e-300:
             return complex(total)
         prev = total
         h *= 0.5
@@ -538,11 +541,11 @@ def bessel_K(nu, z: float, tol: float = 1e-13) -> complex:
 # Dedekind eta
 # ---------------------------------------------------------------------------
 
-def _eta_q_product(z: complex, terms: int = 64) -> complex:
+def _eta_q_product(z: complex) -> complex:
     q = cmath.exp(2j * math.pi * z)
     prod = 1.0 + 0.0j
     qn = 1.0 + 0.0j
-    for _ in range(terms):
+    for _ in range(_ETA_TERMS):
         qn *= q
         prod *= 1.0 - qn
     return cmath.exp(2j * math.pi * z / 24.0) * prod
@@ -574,16 +577,16 @@ def dedekind_eta(z) -> complex:
     return acc * _eta_q_product(w)
 
 
-def _e2_series(z: complex, terms: int = 80) -> complex:
+def _e2_series(z: complex) -> complex:
     """Weight-2 quasimodular E_2(z) = 1 - 24 sum sigma_1(n) q^n (Im z >= 0.5)."""
     q = cmath.exp(2j * math.pi * z)
-    sigma = [0] * (terms + 1)
-    for d in range(1, terms + 1):
-        for m in range(d, terms + 1, d):
+    sigma = [0] * (_E2_TERMS + 1)
+    for d in range(1, _E2_TERMS + 1):
+        for m in range(d, _E2_TERMS + 1, d):
             sigma[m] += d
     total = 0.0 + 0.0j
     qn = 1.0 + 0.0j
-    for n in range(1, terms + 1):
+    for n in range(1, _E2_TERMS + 1):
         qn *= q
         total += sigma[n] * qn
     return 1.0 - 24.0 * total

@@ -11,7 +11,7 @@
   cos(Theta) J(w) with sin(Theta) |thetaE_w|^2 / (2 tau).
 
 Contour quadrature is composite Gauss-Legendre (panels of width 0.5,
-16 nodes each by default) with explicit 1/tau^2 tail bounds; the
+16 nodes each) with explicit 1/tau^2 tail bounds; the
 oscillatory integrand sharpens the Green's-check tail bound to
 O(1/(phi T^2)) with phase slope phi = log a - |log y|.
 """
@@ -50,34 +50,30 @@ __all__ = [
 # <1, 1> on SL2(Z)\H with measure dx dy / y^2
 INNER_ONE_ONE = math.pi / 3.0
 
-# width of one Gauss-Legendre panel on every critical-line contour
-_PANEL_WIDTH = 0.5
+# width and node count of one Gauss-Legendre panel on every critical-line contour
+_PANEL_WIDTH, _PANEL_NODES = 0.5, 16
+_PAIRING_T = 120.0  # contour height of J(w) and of the repulsion experiment
 
 
-def modular_domain_volume(panels: int = 200) -> float:
+def modular_domain_volume() -> float:
     """vol(SL2(Z)\\H) = int_{-1/2}^{1/2} dx / sqrt(1-x^2) by quadrature.
 
     Cross-checks the hard-coded <1,1> = pi/3 before the spectral formulas
-    rely on it.
+    rely on it (200 panels of 8 nodes).
     """
-    x, w = gl_grid(-0.5, 0.5, 1.0 / panels, 8)
+    x, w = gl_grid(-0.5, 0.5, 1.0 / 200, 8)
     return float(w @ (1.0 / np.sqrt(1.0 - x * x)))
 
 
 @dataclass(frozen=True)
 class ContourConfig:
-    """Truncated Re s = 1/2 contour: height T, Gauss-Legendre density."""
+    """Truncated Re s = 1/2 contour of height T."""
 
     T: float = 300.0
-    nodes_per_unit: int = 32
 
     def __post_init__(self):
         if not self.T > 0:
             raise ValueError("contour height T must be positive")
-
-    @property
-    def nodes_per_panel(self) -> int:
-        return max(2, int(self.nodes_per_unit * _PANEL_WIDTH))
 
 
 @dataclass(frozen=True)
@@ -146,9 +142,16 @@ def _phase(track: specfun.ArgTrack, a: float, t):
     return t * math.log(a) + track.value(t)
 
 
+def _check_reach(track: specfun.ArgTrack, t: float) -> None:
+    """Raise unless the track reaches t: past its end, psi would be held constant."""
+    if track.t_grid[-1] < t:
+        raise ValueError(f"the psi track ends at t = {track.t_grid[-1]:g}, before t = {t:g}")
+
+
 def root_count_prediction(a: float, t_min: float, t_max: float,
                           track: specfun.ArgTrack) -> int:
     """Number of cosine zeros predicted by the phase increment."""
+    _check_reach(track, t_max)
     lo, hi = _phase(track, a, np.array([t_min, t_max]))
     return int(math.floor((hi + math.pi / 2) / math.pi)
                - math.floor((lo + math.pi / 2) / math.pi))
@@ -172,6 +175,7 @@ def exotic_roots(a: float, t_min: float = 0.1, t_max: float = 50.0,
         raise ValueError("t_min must be below t_max")
     if track is None:
         track = specfun.psi_arg_xi(t_max + 1.0)
+    _check_reach(track, t_max)
 
     def f(t: np.ndarray) -> np.ndarray:
         return np.cos(t * math.log(a) + _psi_exact(track, t))
@@ -206,6 +210,7 @@ def spacing_statistics(roots: list[SpectralRoot],
         raise ValueError("need at least 3 roots for spacing statistics")
     a = roots[0].a
     t = np.array([r.t for r in roots])
+    _check_reach(track, t[-1])
     mid = 0.5 * (t[:-1] + t[1:])
     gap = t[1:] - t[:-1]
     psi = _psi_exact(track, np.concatenate([mid + 0.5 * gap, mid - 0.5 * gap]))
@@ -272,14 +277,12 @@ def _greens_integral(z, w: complex, a: float, T: float, nodes_per_panel: int) ->
 
 
 def greens_constant_term_check(z, w, a: float,
-                               cfg: ContourConfig | None = None) -> GreensResult:
+                               cfg: ContourConfig = ContourConfig()) -> GreensResult:
     """Spectral-contour LHS vs closed-form RHS = a^{1-w} E_w(z)/(1-2w).
 
     LHS = 1/((0 - lam_w) <1,1>) + (1/4pi) int_{-T}^{T}
           (a^{1-s} + c_{1-s} a^s) E_s(z) / (lam_s - lam_w) d tau,  s = 1/2+i tau.
     """
-    if cfg is None:
-        cfg = ContourConfig()
     zz = lattice.as_point(z)
     w = complex(w)
     if not w.real > 0.5:
@@ -293,8 +296,8 @@ def greens_constant_term_check(z, w, a: float,
         raise ValueError("lam_w = w(w-1) must avoid (-inf, 0]")
 
     const = 1.0 / ((0.0 - lam_w) * INNER_ONE_ONE)
-    integral = _greens_integral(zz, w, a, cfg.T, cfg.nodes_per_panel)
-    half = _greens_integral(zz, w, a, cfg.T, max(2, cfg.nodes_per_panel // 2))
+    integral = _greens_integral(zz, w, a, cfg.T, _PANEL_NODES)
+    half = _greens_integral(zz, w, a, cfg.T, _PANEL_NODES // 2)
     quad_error = abs(integral - half)
     lhs = const + integral
 
@@ -312,10 +315,9 @@ def greens_constant_term_check(z, w, a: float,
 class _LineCache:
     """|E_s(tau_D)|^2 on a fixed Gauss-Legendre contour grid, computed once."""
 
-    def __init__(self, D: int, T: float, nodes_per_panel: int):
+    def __init__(self, D: int, T: float):
         self.D = D
-        self.T = T
-        self.taus, self.wts = gl_grid(0.0, T, _PANEL_WIDTH, nodes_per_panel)
+        self.taus, self.wts = gl_grid(0.0, T, _PANEL_WIDTH, _PANEL_NODES)
         s = 0.5 + 1j * self.taus
         self.F = np.abs(eisenstein.cm_line_values(D, s)) ** 2
 
@@ -344,15 +346,13 @@ def _j_from_cache(cache: _LineCache, tau: float, F_tau: float, window: float = 0
     return 1.0 / (-lam_w * INNER_ONE_ONE) + integral / (2.0 * math.pi)
 
 
-def J_function(w, D: int, cfg: ContourConfig | None = None) -> float:
+def J_function(w, D: int) -> float:
     """J(w) = 1/(-lam_w <1,1>) + (1/2 pi) int_0^T (F(tau') - F(tau)) d tau'
-    / (tau^2 - tau'^2), with F = |E_s(tau_D)|^2 on the critical line."""
-    if cfg is None:
-        cfg = ContourConfig(T=120.0)
+    / (tau^2 - tau'^2), with F = |E_s(tau_D)|^2 on the critical line, T = 120."""
     w = complex(w)
     if abs(w.real - 0.5) > 1e-12 or w.imag <= 0.5:
         raise ValueError("J_function needs w = 1/2 + i tau with tau > 0.5")
-    cache = _LineCache(D, cfg.T, cfg.nodes_per_panel)
+    cache = _LineCache(D, _PAIRING_T)
     return _j_from_cache(cache, w.imag, cache.theta_sq(w.imag))
 
 
@@ -431,8 +431,7 @@ class RepulsionReport:
 
 
 def repulsion_experiment(D: int, a: float, tau_lo: float, tau_hi: float,
-                         cfg: ContourConfig | None = None,
-                         track: specfun.ArgTrack | None = None) -> RepulsionReport:
+                         cfg: ContourConfig = ContourConfig(T=_PAIRING_T)) -> RepulsionReport:
     """Eigenvalue condition cos(Theta) J(w) = sin(Theta) |thetaE_w|^2/(2 tau).
 
     Between consecutive zeros of cos(Theta), Theta = tau log a + psi(tau),
@@ -440,13 +439,10 @@ def repulsion_experiment(D: int, a: float, tau_lo: float, tau_hi: float,
     change sign exactly once.  Also recovers the on-line zeros of zeta_K for
     reference.
     """
-    if cfg is None:
-        cfg = ContourConfig(T=120.0)
-    if track is None:
-        track = specfun.psi_arg_xi(tau_hi + 1.0)
+    track = specfun.psi_arg_xi(tau_hi + 1.0)
     cos_zeros = np.array(scan_zeros(lambda t: np.cos(_phase(track, a, t)),
                                     tau_lo, tau_hi, step=0.01))
-    cache = _LineCache(D, cfg.T, cfg.nodes_per_panel)
+    cache = _LineCache(D, cfg.T)
 
     def W(t: np.ndarray) -> np.ndarray:
         th, F_tau = _phase(track, a, t), cache.theta_sq(t)

@@ -191,7 +191,8 @@ def test_laurent_ring_enumerates_once(monkeypatch):
     assert counts["cholesky"] <= 4
 
 
-def test_laurent_nonconvergence_raises():
+def test_laurent_nonconvergence_raises(monkeypatch):
     # tol = 0 can never be met: the ring doubles up to 512 nodes, then raises
+    monkeypatch.setattr(epstein, "_RING_TOL", 0.0)
     with pytest.raises(epstein.LaurentConvergenceError):
-        epstein.epstein_laurent(np.eye(2), 1.0, tol=0.0)
+        epstein.epstein_laurent(np.eye(2), 1.0)

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from zetalab import hamiltonian
+from zetalab import hamiltonian, specfun
 from zetalab.eisenstein import e1_star
 
 
@@ -153,15 +153,28 @@ def e1_calls(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("check, most", [(hamiltonian.commutator_residuals, 36),
+@pytest.mark.parametrize("check, most", [(hamiltonian.commutator_residuals, 18),
                                          (hamiltonian.lowering_residual, 5),
                                          (hamiltonian.ground_state_residual, 9)],
                          ids=lambda v: getattr(v, "__name__", str(v)))
 def test_e1_star_work_count(e1_calls, check, most):
-    # one stencil per function and point; each probe of the commutator check
-    # takes one of f and one of E_1^*, 9 nodes each
+    # one stencil of E_1^* per point, 9 nodes each; the commutator check
+    # takes its ground state's values from the E_1^* stencil at z
     check(0.2 + 1.2j)
     assert len(e1_calls) <= most
+
+
+def test_commutator_takes_one_gradient_per_point(monkeypatch):
+    # z and the bump's point: one eta'/eta each gives q and D E_1^* there
+    calls = []
+
+    def counted(z, f=specfun.eta_log_derivative):
+        calls.append(z)
+        return f(z)
+
+    monkeypatch.setattr(specfun, "eta_log_derivative", counted)
+    hamiltonian.commutator_residuals(0.2 + 1.2j)
+    assert len(calls) <= 2
 
 
 def test_ground_state_residual_reuses_the_stencil_centre(e1_calls):

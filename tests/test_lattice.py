@@ -114,9 +114,10 @@ def test_enumerate_unimodular_invariance():
         assert np.allclose(v1, v2, atol=1e-9)
 
 
-def test_enumeration_cap():
+def test_enumeration_cap(monkeypatch):
+    monkeypatch.setattr(lattice, "ENUM_CAP", 1000)
     with pytest.raises(lattice.EnumerationCapError):
-        lattice.enumerate_vectors(np.eye(2), 1e9, cap=1000)
+        lattice.enumerate_vectors(np.eye(2), 1e9)
 
 
 def test_as_point_validation():

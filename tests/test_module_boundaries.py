@@ -1,5 +1,6 @@
 """Tooling: a zetalab module reads only the public names of another, and
-imports its siblings at the top of the module."""
+imports its siblings at the top of the module; every public default is
+passed by some library, CLI or benchmark call."""
 
 import ast
 from pathlib import Path
@@ -58,3 +59,107 @@ def test_sibling_imports_at_module_top():
     hits = [f"{path.name}:{line}" for path in sorted(SRC.glob("*.py"))
             for line in _local_sibling_imports(ast.parse(path.read_text()))]
     assert hits == []
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+# the console entry point: with no argv, argparse reads sys.argv
+NO_CALLER_NEEDED = {"cli.main(argv)"}
+
+
+def _defaulted(fn: ast.FunctionDef, skip: int = 0) -> list[tuple[str, int | None]]:
+    """(name, position) of each defaulted parameter; keyword-only ones have None."""
+    a = fn.args
+    positional = (a.posonlyargs + a.args)[skip:]
+    first = len(positional) - len(a.defaults)
+    return [(arg.arg, first + i) for i, arg in enumerate(positional[first:])] + \
+        [(arg.arg, None) for arg, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+
+
+def _public_defaults(tree: ast.Module, module: str):
+    """(key, callee name, parameter, position, label) of every public default.
+
+    Module-level public functions, and the public methods (positions without
+    self) and dataclass fields (positions among the fields) of public
+    classes.  Nested functions are not checked.
+    """
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            for p, i in _defaulted(node):
+                yield (id(node), p), node.name, p, i, f"{module}.{node.name}({p})"
+        if not isinstance(node, ast.ClassDef) or node.name.startswith("_"):
+            continue
+        if any("dataclass" in ast.unparse(d) for d in node.decorator_list):
+            fields = [st for st in node.body
+                      if isinstance(st, ast.AnnAssign) and isinstance(st.target, ast.Name)]
+            for i, st in enumerate(fields):
+                p = st.target.id
+                if st.value is not None and not p.startswith("_"):
+                    yield (id(node), p), node.name, p, i, f"{module}.{node.name}.{p}"
+        for fn in node.body:
+            if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_"):
+                static = any(ast.unparse(d) == "staticmethod" for d in fn.decorator_list)
+                for p, i in _defaulted(fn, 0 if static else 1):
+                    yield (id(fn), p), fn.name, p, i, f"{module}.{node.name}.{fn.name}({p})"
+
+
+def _calls(node: ast.AST, fn: ast.FunctionDef | None = None):
+    """(call, innermost enclosing function or None) for every call under node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Call):
+            yield child, fn
+        yield from _calls(child, child if isinstance(child, ast.FunctionDef) else fn)
+
+
+def _uncalled_defaults(checked: dict[str, ast.Module], callers: list[ast.Module]) -> list[str]:
+    """Labels of the defaults in ``checked`` that no call in ``callers`` passes.
+
+    A call that only forwards a default of its own enclosing function passes
+    a value only if that default is passed in turn.
+    """
+    found = {key: rest for module, tree in checked.items()
+             for key, *rest in _public_defaults(tree, module)}
+    calls: dict[str, list] = {}
+    for tree in callers:
+        for call, fn in _calls(tree):
+            name = getattr(call.func, "id", getattr(call.func, "attr", None))
+            calls.setdefault(name, []).append((call, fn))
+
+    def value(call: ast.Call, p: str, i: int | None):
+        for k in call.keywords:
+            if k.arg in (p, None):  # None: **kwargs
+                return k.value
+        if any(isinstance(a, ast.Starred) for a in call.args):
+            return call
+        return call.args[i] if i is not None and i < len(call.args) else None
+
+    passed: set = set()
+    while True:
+        new = {key for key, (name, p, i, _) in found.items() if key not in passed
+               for call, fn in calls.get(name, [])
+               if (v := value(call, p, i)) is not None
+               and not (isinstance(v, ast.Name) and fn is not None
+                        and (id(fn), v.id) in found and (id(fn), v.id) not in passed)}
+        if not new:
+            break
+        passed |= new
+    return [label for key, (*_, label) in found.items()
+            if key not in passed and label not in NO_CALLER_NEEDED]
+
+
+def test_every_public_default_has_a_caller():
+    # a default that no library, CLI or benchmark call ever overrides is a
+    # fixed value: it belongs in a named module constant
+    probe = ast.parse("def f(x, n=3, *, m=1):\n    return g(x, m)\n"
+                      "def g(x, m=2):\n    pass\n"
+                      "def _h(x, k=1):\n    pass\n"
+                      "class C:\n    def h(self, a, b=1):\n        pass\n"
+                      "@dataclass\nclass D:\n    a: int\n    b: int = 0\n"
+                      "f(1, 4)\nC().h(1, b=2)\nD(1)\n")
+    # f(m) is never passed, and g(m) only gets f's unpassed default
+    assert _uncalled_defaults({"p": probe}, [probe]) == ["p.f(m)", "p.g(m)", "p.D.b"]
+    more = ast.parse("f(1, m=0)\nD(1, 2)\n")
+    assert _uncalled_defaults({"p": probe}, [probe, more]) == []
+    checked = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    bench = [ast.parse(path.read_text()) for path in sorted(PERFBENCH.glob("*.py"))]
+    assert len(checked) > 5 and len(bench) > 5
+    assert _uncalled_defaults(checked, [*checked.values(), *bench]) == []

@@ -288,10 +288,10 @@ def test_regularized_upper_gamma_array_real_s():
         assert real.tobytes() == specfun.regularized_upper_gamma_array(complex(s), xs).tobytes()
 
 
-def _upper_gamma_lift_per_x(s: complex, x: float, tol: float = 1e-13) -> complex:
+def _upper_gamma_lift_per_x(s: complex, x: float) -> complex:
     """Reference: the small-x splice with the whole lift redone for one x."""
     if s.real <= 0.5 and abs(s - round(s.real)) < 1e-8:
-        return specfun._upper_gamma_cf(s, x, tol)
+        return specfun._upper_gamma_cf(s, x)
     coeff = 1.0 + 0.0j
     shift = 0.0 + 0.0j
     s0 = s
@@ -300,7 +300,7 @@ def _upper_gamma_lift_per_x(s: complex, x: float, tol: float = 1e-13) -> complex
         shift = shift - coeff * cmath.exp(s0 * math.log(x) - x)
         s0 += 1.0
     gamma_full = cmath.exp(specfun.log_gamma(s0))
-    lower = specfun._lower_gamma_series(s0, x, tol)
+    lower = specfun._lower_gamma_series(s0, x)
     return coeff * (gamma_full - lower) + shift
 
 

@@ -107,6 +107,23 @@ def test_exotic_roots_and_spacing_work_counts(monkeypatch):
     assert calls == [(1, 2 * (len(roots) - 1))]
 
 
+def test_short_psi_track_raises():
+    # np.interp holds psi constant past the track's end: 17 roots instead
+    # of 55, a prediction of 32, gaps off their comparator by 2.0 relative
+    short = specfun.psi_arg_xi(20.0)
+    with pytest.raises(ValueError, match="psi track ends"):
+        spectral.exotic_roots(5.0, 0.1, 50.0, short)
+    with pytest.raises(ValueError, match="psi track ends"):
+        spectral.root_count_prediction(5.0, 0.1, 50.0, short)
+    roots = spectral.exotic_roots(5.0, 0.1, 50.0)
+    with pytest.raises(ValueError, match="psi track ends"):
+        spectral.spacing_statistics(roots, short)
+    # a track that reaches the window's top, or the last root, is enough
+    assert len(spectral.exotic_roots(5.0, 0.1, 20.0, short)) > 0
+    assert spectral.root_count_prediction(5.0, 0.1, 20.0, short) > 0
+    assert len(spectral.spacing_statistics([r for r in roots if r.t <= 20.0], short)) > 0
+
+
 def test_spacing_statistics(roots_a10, track30):
     rows = spectral.spacing_statistics(roots_a10, track30)
     assert len(rows) == len(roots_a10) - 1
@@ -127,11 +144,12 @@ def test_greens_check_cm_point():
 
 
 def test_greens_node_doubling_within_bound():
-    base = spectral.greens_constant_term_check(
-        1j, 1.25 + 0.6j, 2.0, spectral.ContourConfig(T=120.0, nodes_per_unit=32))
-    fine = spectral.greens_constant_term_check(
-        1j, 1.25 + 0.6j, 2.0, spectral.ContourConfig(T=120.0, nodes_per_unit=64))
-    assert abs(fine.lhs - base.lhs) < base.tail_bound
+    w, a = 1.25 + 0.6j, 2.0
+    base = spectral.greens_constant_term_check(1j, w, a, spectral.ContourConfig(T=120.0))
+    # the same contour with twice the nodes per panel
+    const = 1.0 / ((0.0 - w * (w - 1.0)) * spectral.INNER_ONE_ONE)
+    fine = const + spectral._greens_integral(1j, w, a, 120.0, 2 * spectral._PANEL_NODES)
+    assert abs(fine - base.lhs) < base.tail_bound
 
 
 @pytest.mark.slow
@@ -157,7 +175,7 @@ def test_greens_integral_matches_c_scattering_integrand():
     w, a, cfg = 1.25 + 0.6j, 2.0, spectral.ContourConfig(T=120.0)
     res = spectral.greens_constant_term_check(1j, w, a, cfg)
     # the same contour, built on c_{1-s} = c_scattering(1 - s) and E at i
-    taus, wts = spectral.gl_grid(0.0, cfg.T, spectral._PANEL_WIDTH, cfg.nodes_per_panel)
+    taus, wts = spectral.gl_grid(0.0, cfg.T, spectral._PANEL_WIDTH, spectral._PANEL_NODES)
     s = 0.5 + 1j * taus
     lam_w = w * (w - 1.0)
     E = eisenstein.cm_line_values(-4, s)
@@ -168,7 +186,7 @@ def test_greens_integral_matches_c_scattering_integrand():
 
 
 def test_greens_check_generic_point():
-    cfg = spectral.ContourConfig(T=30.0, nodes_per_unit=16)
+    cfg = spectral.ContourConfig(T=30.0)
     res = spectral.greens_constant_term_check(0.3 + 1.2j, 1.5 + 1.0j, 2.0, cfg)
     assert res.rel_error < 0.05
 
@@ -188,8 +206,7 @@ def test_greens_preconditions():
 
 @pytest.fixture(scope="module")
 def line_cache():
-    cfg = spectral.ContourConfig(T=120.0)
-    return spectral._LineCache(-4, cfg.T, cfg.nodes_per_panel)
+    return spectral._LineCache(-4, 120.0)
 
 
 def test_j_function_finite_and_window_stable(line_cache):
