@@ -347,6 +347,24 @@ def _c14_specfun_floor(rng) -> tuple[bool, dict]:
     return ok, detail
 
 
+def _c15_factorization(rng) -> tuple[bool, dict]:
+    """S = (D - D beta)(D + D beta) + Delta beta by stencils, beta = E_1^*.
+
+    The lowering operator D + D beta annihilates the ground state e^{-beta},
+    and S f - R L f = (3/pi) f holds for each probe f.
+    """
+    worst_lowering = 0.0
+    worst = {}
+    for _ in range(10):
+        z = complex(rng.uniform(-0.45, 0.45), rng.uniform(0.9, 2.0))
+        worst_lowering = max(worst_lowering, hamiltonian.lowering_residual(z))
+        for probe, res in hamiltonian.commutator_residuals(z).items():
+            worst[probe] = max(worst.get(probe, 0.0), res)
+    ok = worst_lowering < 1e-5 and max(worst.values()) < 1e-4
+    return ok, {"max_lowering_residual": worst_lowering, "max_probe_residuals": worst,
+                "lowering_tolerance": 1e-5, "probe_tolerance": 1e-4}
+
+
 CRITERIA = [
     ("epstein-oracle", _c01_epstein_oracle),
     ("functional-equation", _c02_functional_equation),
@@ -362,6 +380,7 @@ CRITERIA = [
     ("greens-constant-term", _c12_greens),
     ("repulsion", _c13_repulsion),
     ("specfun-floor", _c14_specfun_floor),
+    ("factorization", _c15_factorization),
 ]
 
 

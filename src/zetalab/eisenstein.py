@@ -1,7 +1,6 @@
 """Eisenstein series through the Epstein dictionary, and the limit formulas.
 
 * E_s(z) = Z_2(Q_z, s) / (2 zeta(2s)) with Q_z the det-1 Gram form of z.
-* E^P_{s}(g) = Z_r(g g^T, rs/2) / (2 zeta(rs)) for the (r-1,1) parabolic.
 * c_s = xi(2s-1)/xi(2s), the scattering coefficient of the constant term
   y^s + c_s y^{1-s}.
 * Kronecker limit: lim_{s->1}(Z_2(Q_z, s) - pi/(s-1))
@@ -32,14 +31,13 @@ __all__ = [
     "cm_point",
     "e1_star",
     "eisenstein_sl2",
-    "eisenstein_slr",
     "heegner_zeta",
     "kronecker_limit_check",
     "terras_limit",
 ]
 
 EULER_GAMMA = 0.5772156649015328606
-_TOL = 1e-10  # Epstein tolerance of E_s on SLr, and the default on SL2
+_TOL = 1e-10  # default Epstein tolerance of E_s
 _TERM_TOL = 1e-14  # relative size of the last term of the block limit's Bessel sum
 
 
@@ -49,29 +47,16 @@ class EisensteinValue:
     error_bound: float
 
 
-def _eisenstein(Q: np.ndarray, s, tol: float) -> EisensteinValue:
-    """E = Z_r(Q, rs/2) / (2 zeta(rs)) for a det-1 r x r form Q."""
-    r = Q.shape[0]
-    s = complex(s)
-    zrs = specfun.riemann_zeta(r * s)
-    if abs(zrs) < 1e-8:
-        raise ZeroDivisionError(f"zeta({r}s) vanishes too close to the requested s")
-    res = epstein.epstein_zeta(Q, r * s / 2.0, tol)
-    return EisensteinValue(value=res.value / (2.0 * zrs),
-                           error_bound=res.error_bound / abs(2.0 * zrs))
-
-
 def eisenstein_sl2(z, s, tol: float = _TOL) -> EisensteinValue:
-    """E_s(z) = Z_2(Q_z, s) / (2 zeta(2s)), the case r = 2 of :func:`eisenstein_slr`."""
-    return _eisenstein(lattice.gram_of_point(z), s, tol)
-
-
-def eisenstein_slr(g_gram: np.ndarray, s) -> EisensteinValue:
-    """Degenerate Eisenstein series E^P_s(g) = Z_r(gg^T, rs/2)/(2 zeta(rs))."""
-    Q = lattice.validate_gram(g_gram)
-    if abs(np.linalg.det(Q) - 1.0) > 1e-8:
-        raise ValueError("eisenstein_slr expects a det-1 Gram matrix")
-    return _eisenstein(Q, s, _TOL)
+    """E_s(z) = Z_2(Q_z, s) / (2 zeta(2s))."""
+    Q = lattice.gram_of_point(z)
+    s = complex(s)
+    z2s = specfun.riemann_zeta(2 * s)
+    if abs(z2s) < 1e-8:
+        raise ZeroDivisionError("zeta(2s) vanishes too close to the requested s")
+    res = epstein.epstein_zeta(Q, s, tol)
+    return EisensteinValue(value=res.value / (2.0 * z2s),
+                           error_bound=res.error_bound / abs(2.0 * z2s))
 
 
 @specfun.elementwise

@@ -21,7 +21,6 @@ from .eisenstein import e1_star
 
 __all__ = [
     "check_laplace_e1star",
-    "commutator_check",
     "commutator_residuals",
     "dirac_apply",
     "fd_laplacian",
@@ -214,8 +213,3 @@ def commutator_residuals(z) -> dict[str, float]:
         residual_vec = (Sf - GROUND_EIGENVALUE * fz) * _ONE - RLf
         out[name] = float(np.linalg.norm(residual_vec)) / max(abs(fz), 1e-12)
     return out
-
-
-def commutator_check(z) -> float:
-    """Max relative residual of the factorization identity over the probes."""
-    return max(commutator_residuals(z).values())

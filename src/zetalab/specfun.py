@@ -22,7 +22,7 @@ One calling rule, held by :func:`elementwise` alone: a scalar gives a Python
 scalar, an array an array of its shape.  It covers ``log_gamma``, ``digamma``,
 ``riemann_zeta``, ``hurwitz_zeta``, ``dirichlet_L``, ``xi_log``, ``xi_completed``,
 ``eisenstein.c_scattering`` (``complex``) and ``spectral.hardy_rotation_zeta``/
-``_L`` (``float``); ``ArgTrack.value``/``derivative`` keep the shape of ``t``.
+``_L`` (``float``); ``ArgTrack.value`` keeps the shape of ``t``.
 """
 
 from __future__ import annotations
@@ -333,10 +333,6 @@ class ArgTrack:
 
     def value(self, t):
         return np.interp(t, self.t_grid, self.psi_values)
-
-    def derivative(self, t):
-        grad = np.gradient(self.psi_values, self.t_grid)
-        return np.interp(t, self.t_grid, grad)
 
 
 def _psi_raw(t: np.ndarray) -> np.ndarray:

@@ -7,8 +7,9 @@
 * The Green's-function constant-term identity: the spectral-expansion
   contour integral over Re s = 1/2 against the closed form
   a^{1-w} E_w(z)/(1-2w).
-* The J(w) pairing integral and the repulsion experiment comparing
-  cos(Theta) J(w) with sin(Theta) |thetaE_w|^2 / (2 tau).
+* The repulsion experiment comparing cos(Theta) J(w) with
+  sin(Theta) |thetaE_w|^2 / (2 tau), J(w) the pairing integral up to the
+  contour height T.
 
 Contour quadrature is composite Gauss-Legendre (panels of width 0.5,
 16 nodes each) with explicit 1/tau^2 tail bounds; the
@@ -38,8 +39,6 @@ __all__ = [
     "greens_constant_term_check",
     "hardy_rotation_L",
     "hardy_rotation_zeta",
-    "J_function",
-    "modular_domain_volume",
     "repulsion_experiment",
     "root_count_prediction",
     "scan_zeros",
@@ -52,17 +51,7 @@ INNER_ONE_ONE = math.pi / 3.0
 
 # width and node count of one Gauss-Legendre panel on every critical-line contour
 _PANEL_WIDTH, _PANEL_NODES = 0.5, 16
-_PAIRING_T = 120.0  # contour height of J(w) and of the repulsion experiment
-
-
-def modular_domain_volume() -> float:
-    """vol(SL2(Z)\\H) = int_{-1/2}^{1/2} dx / sqrt(1-x^2) by quadrature.
-
-    Cross-checks the hard-coded <1,1> = pi/3 before the spectral formulas
-    rely on it (200 panels of 8 nodes).
-    """
-    x, w = gl_grid(-0.5, 0.5, 1.0 / 200, 8)
-    return float(w @ (1.0 / np.sqrt(1.0 - x * x)))
+_PAIRING_T = 120.0  # default contour height of the repulsion experiment
 
 
 @dataclass(frozen=True)
@@ -78,9 +67,7 @@ class ContourConfig:
 
 @dataclass(frozen=True)
 class SpectralRoot:
-    t: float
-    w: complex
-    lam: float  # w(w-1) = -1/4 - t^2
+    t: float  # w = 1/2 + it
     residual: float  # |a^w + c_w a^{1-w}|
     a: float
 
@@ -191,7 +178,7 @@ def exotic_roots(a: float, t_min: float = 0.1, t_max: float = 50.0,
     # same-sign ends are interpolation artifacts, no true crossing there
     crossing = ~(ends[:i.size] * ends[i.size:] > 0)
     t = _bisect(f, lo[crossing], hi[crossing], tol=1e-13)
-    return [SpectralRoot(t=tk, w=0.5 + 1j * tk, lam=-0.25 - tk * tk, residual=res, a=a)
+    return [SpectralRoot(t=tk, residual=res, a=a)
             for tk, res in zip(t.tolist(), _scattering_residual(t, a))]
 
 
@@ -327,7 +314,9 @@ class _LineCache:
 
 
 def _j_from_cache(cache: _LineCache, tau: float, F_tau: float, window: float = 0.0625) -> float:
-    """J(1/2 + i tau) from F_tau = theta_sq(tau), singularity window-interpolated."""
+    """J(1/2 + i tau) = 1/(-lam_w <1,1>) + (1/2 pi) int_0^T (F(tau') - F(tau)) d tau'
+    / (tau^2 - tau'^2), with F = |E_s(tau_D)|^2 on the cache's contour of height
+    T and F_tau = theta_sq(tau); the removable singularity is window-interpolated."""
     taus, wts, F = cache.taus, cache.wts, cache.F
     denom = tau * tau - taus * taus
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -344,16 +333,6 @@ def _j_from_cache(cache: _LineCache, tau: float, F_tau: float, window: float = 0
     integral = float(wts @ G)
     lam_w = -0.25 - tau * tau
     return 1.0 / (-lam_w * INNER_ONE_ONE) + integral / (2.0 * math.pi)
-
-
-def J_function(w, D: int) -> float:
-    """J(w) = 1/(-lam_w <1,1>) + (1/2 pi) int_0^T (F(tau') - F(tau)) d tau'
-    / (tau^2 - tau'^2), with F = |E_s(tau_D)|^2 on the critical line, T = 120."""
-    w = complex(w)
-    if abs(w.real - 0.5) > 1e-12 or w.imag <= 0.5:
-        raise ValueError("J_function needs w = 1/2 + i tau with tau > 0.5")
-    cache = _LineCache(D, _PAIRING_T)
-    return _j_from_cache(cache, w.imag, cache.theta_sq(w.imag))
 
 
 @specfun.elementwise
@@ -423,8 +402,6 @@ def zeta_k_line_zeros(D: int, t_lo: float, t_hi: float) -> list[float]:
 
 @dataclass(frozen=True)
 class RepulsionReport:
-    D: int
-    a: float
     intervals: list  # (t_left, t_right, sign_changes, root or None)
     zk_zeros: list
     unique_per_interval: bool
@@ -437,8 +414,11 @@ def repulsion_experiment(D: int, a: float, tau_lo: float, tau_hi: float,
     Between consecutive zeros of cos(Theta), Theta = tau log a + psi(tau),
     the difference W = cos(Theta) J - sin(Theta) |thetaE|^2/(2 tau) should
     change sign exactly once.  Also recovers the on-line zeros of zeta_K for
-    reference.
+    reference.  J integrates up to the contour height T and never passes its
+    own singularity at tau >= T, so the window must end below T.
     """
+    if not tau_hi < cfg.T:
+        raise ValueError(f"the window must end below the contour height T = {cfg.T:g}")
     track = specfun.psi_arg_xi(tau_hi + 1.0)
     cos_zeros = np.array(scan_zeros(lambda t: np.cos(_phase(track, a, t)),
                                     tau_lo, tau_hi, step=0.01))
@@ -462,6 +442,6 @@ def repulsion_experiment(D: int, a: float, tau_lo: float, tau_hi: float,
     roots = np.full(lo.size, None)
     roots[k] = _bisect(W, grid[k, i], grid[k, i + 1], tol=1e-8).tolist()
     intervals = list(zip(lo.tolist(), hi.tolist(), counts.tolist(), roots.tolist()))
-    return RepulsionReport(D=D, a=a, intervals=intervals,
+    return RepulsionReport(intervals=intervals,
                            zk_zeros=zeta_k_line_zeros(D, tau_lo, tau_hi),
                            unique_per_interval=bool(np.all(counts == 1)))

@@ -20,6 +20,7 @@ BUDGETS = {
     "greens-constant-term": 180.0,
     "repulsion": 300.0,
     "specfun-floor": 60.0,
+    "factorization": 20.0,
 }
 
 

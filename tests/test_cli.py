@@ -202,6 +202,14 @@ def test_nonpositive_contour_height_is_usage_error(argv):
         assert err.startswith("error:") and "T must be positive" in err
 
 
+def test_repulsion_window_above_contour_is_usage_error():
+    argv = ["repulsion", "--D", "-4", "--a", "10", "--t-min", "10", "--t-max", "20"]
+    for T in ("15", "20"):
+        code, out, err = run(argv + ["--T", T])
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "below the contour height" in err
+
+
 def test_tolerance_exit_code():
     # an impossible tolerance turns a passing check into exit code 1
     code, _, _ = run(["kronecker", "--z", "0,1", "--tol", "1e-30"])

@@ -50,25 +50,6 @@ def test_constant_term_fourier_average():
     assert abs(avg - target) < 1e-6
 
 
-def test_slr_reduces_to_sl2():
-    z, s = 0.2 + 1.5j, 1.4 + 0.6j
-    a = eisenstein.eisenstein_slr(lattice.gram_of_point(z), s).value
-    b = eisenstein.eisenstein_sl2(z, s).value
-    assert a == b  # one body: SL2 is the case r = 2
-
-
-def test_slr_rank3_brute_force():
-    s = 2.0  # Z_3(I, 3) / (2 zeta(6))
-    ev = eisenstein.eisenstein_slr(np.eye(3), s)
-    oracle = brute_force_epstein(np.eye(3), 3.0) / (2.0 * complex(specfun.riemann_zeta(6.0)))
-    assert abs(ev.value - oracle) / abs(oracle) < 1e-9
-
-
-def test_slr_requires_det1():
-    with pytest.raises(ValueError):
-        eisenstein.eisenstein_slr(np.diag([2.0, 1.0]), 1.5)
-
-
 def test_scattering_coefficient():
     # closed form at s = 3/2: xi(2)/xi(3) = pi^2 / (3 zeta(3))
     assert abs(eisenstein.c_scattering(1.5) - math.pi ** 2 / (3.0 * ZETA3)) < 1e-12
@@ -156,12 +137,10 @@ def test_heegner_where_zeta_2s_is_singular(s, D):
 
 
 def test_eisenstein_raises_where_zeta_2s_vanishes():
-    # E_s itself has a pole where zeta(2s) = 0, on SL2 and on SL_r at r = 2
+    # E_s itself has a pole where zeta(2s) = 0
     s = HEEGNER_E_S_SINGULAR[1][0]
-    with pytest.raises(ZeroDivisionError):
+    with pytest.raises(ZeroDivisionError, match=r"zeta\(2s\)"):
         eisenstein.eisenstein_sl2(1j, s)
-    with pytest.raises(ZeroDivisionError):
-        eisenstein.eisenstein_slr(lattice.gram_of_point(1j), s)
 
 
 def test_heegner_exponent_is_s_not_half_s():

@@ -138,7 +138,6 @@ def test_commutator_residuals():
     assert set(out) == {"ground", "power", "bump"}
     for name, res in out.items():
         assert res < 1e-4, (name, res)
-    assert hamiltonian.commutator_check(0.2 + 1.2j) == max(out.values())
 
 
 @pytest.fixture

@@ -1,8 +1,10 @@
 """Tooling: a zetalab module reads only the public names of another, and
 imports its siblings at the top of the module; every public default is
-passed by some library, CLI or benchmark call."""
+passed, and every public name named, by some library, CLI or benchmark
+code."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import zetalab
@@ -163,3 +165,53 @@ def test_every_public_default_has_a_caller():
     bench = [ast.parse(path.read_text()) for path in sorted(PERFBENCH.glob("*.py"))]
     assert len(checked) > 5 and len(bench) > 5
     assert _uncalled_defaults(checked, [*checked.values(), *bench]) == []
+
+
+def _public_definitions(tree: ast.Module, module: str):
+    """(label, name, node) of every module-level public function and class,
+    and of every public method of a public class."""
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+            continue
+        yield f"{module}.{node.name}", node.name, node
+        if isinstance(node, ast.ClassDef):
+            for fn in node.body:
+                if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_"):
+                    yield f"{module}.{node.name}.{fn.name}", fn.name, fn
+
+
+def _referenced(node: ast.AST) -> Counter:
+    """How often each name is read as a ``Name`` or an ``Attribute`` under node."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                   if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+def _names_without_caller(trees: dict[str, ast.Module]) -> list[str]:
+    """Labels of the public definitions that no code outside their own body names.
+
+    Matching is by bare name, as Python resolves neither ``obj.value`` nor a
+    module alias statically: a ``.value`` anywhere counts for
+    ``ArgTrack.value``.  Strings (``__all__`` entries, tracer probe keys) and
+    import statements are not references.
+    """
+    total = sum((_referenced(tree) for tree in trees.values()), Counter())
+    return [label for module, tree in trees.items()
+            for label, name, node in _public_definitions(tree, module)
+            if total[name] - _referenced(node)[name] == 0]
+
+
+def test_every_public_name_has_a_caller():
+    # a public function, class or method that no library, CLI or benchmark
+    # code reaches is dead surface: it gets a caller or it goes
+    probe = ast.parse("__all__ = ['f', 'g']\ndef f(n):\n    return f(n - 1)\n"
+                      "def g():\n    pass\ndef _h():\n    return C().m()\n"
+                      "class C:\n    def m(self):\n        pass\n"
+                      "    def k(self):\n        pass\n")
+    # f calls only itself, and the strings in __all__ call nobody
+    assert _names_without_caller({"p": probe}) == ["p.f", "p.g", "p.C.k"]
+    more = ast.parse("from p import f, g\nf(1)\nx.k\n")
+    assert _names_without_caller({"p": probe, "q": more}) == ["p.g"]
+    trees = {f"{path.parent.name}.{path.stem}": ast.parse(path.read_text())
+             for path in [*sorted(SRC.glob("*.py")), *sorted(PERFBENCH.glob("*.py"))]}
+    assert len(trees) > 12
+    assert _names_without_caller(trees) == []

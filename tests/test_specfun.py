@@ -197,7 +197,6 @@ _REAL_VALUED = [
     ("hardy_rotation_zeta", spectral.hardy_rotation_zeta),
     ("hardy_rotation_L", lambda t: spectral.hardy_rotation_L(t, -7)),
     ("ArgTrack.value", _TRACK.value),
-    ("ArgTrack.derivative", _TRACK.derivative),
 ]
 
 
@@ -431,5 +430,5 @@ def test_psi_track_matches_raw_argument():
 def test_psi_growth():
     track = specfun.psi_arg_xi(60.0)
     assert track.value(50.0) > track.value(10.0) > track.value(1.0)
-    slope = track.derivative(30.0)
+    slope = (track.value(31.0) - track.value(29.0)) / 2.0
     assert 0.3 * math.log(30.0) < slope < 2.0 * math.log(30.0)
