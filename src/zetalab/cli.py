@@ -27,12 +27,17 @@ class _TooFewRoots(RuntimeError):
     """The window holds too few roots for the statistic asked for."""
 
 
+def _real(text: str, low: float = -np.inf) -> float:
+    value = float(text)
+    if not low < value < np.inf:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number above {low}")
+    return value
+
+
 def _parse_complex(text: str) -> complex:
     parts = text.split(",")
-    if len(parts) == 1:
-        return complex(float(parts[0]), 0.0)
-    if len(parts) == 2:
-        return complex(float(parts[0]), float(parts[1]))
+    if len(parts) in (1, 2):
+        return complex(*map(_real, parts))
     raise argparse.ArgumentTypeError(f"expected 're' or 're,im', got {text!r}")
 
 
@@ -224,15 +229,15 @@ _FLAGS = {
     "Q": [("--Q", {"required": True}), ("--r", {"type": int})],
     "s": [("--s", {"type": _parse_complex, "required": True})],
     "z": [("--z", {"type": _parse_point, "required": True})],
-    "a": [("--a", {"type": float, "required": True})],
+    "a": [("--a", {"type": _real, "required": True})],
     "D": [("--D", {"type": int, "required": True})],
-    "t-range": [("--t-min", {"type": float}), ("--t-max", {"type": float})],
-    "T": [("--T", {"type": float})],
+    "t-range": [("--t-min", {"type": _real}), ("--t-max", {"type": _real})],
+    "T": [("--T", {"type": _real})],
     "ell": [("--ell", {"type": int, "required": True})],
     "count": [("--count", {"type": int, "default": 50})],
     "format": [("--format", {"choices": ("json", "csv"), "default": "json"})],
     "seed": [("--seed", {"type": int, "default": 12345})],
-    "tol": [("--tol", {"type": float})],
+    "tol": [("--tol", {"type": lambda text: _real(text, 0.0)})],
     "only": [("--only", {"help": "comma-separated criterion names"})],
 }
 

@@ -49,6 +49,8 @@ def _factor(Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     r = Q.shape[0]
     if not 2 <= r <= MAX_DIM:
         raise ValueError(f"dimension must be in [2, {MAX_DIM}]")
+    if not np.isfinite(Q).all():
+        raise ValueError("Gram matrix entries must be finite")
     if np.max(np.abs(Q - Q.T)) > 1e-12 * max(1.0, np.max(np.abs(Q))):
         raise ValueError("Gram matrix must be symmetric")
     Q = 0.5 * (Q + Q.T)
@@ -85,44 +87,36 @@ def quadratic_values(Q: np.ndarray, vectors: np.ndarray) -> np.ndarray:
 def enumerate_vectors(Q: np.ndarray, R: float) -> np.ndarray:
     """All v in Z^r \\ {0} with Q[v] <= R (Fincke-Pohst on the Cholesky factor).
 
-    Returns an integer array sorted lexicographically; vectors come in +/-
-    pairs since Q[-v] = Q[v].  More than ``ENUM_CAP`` vectors raise.
+    Level by level from coordinate r-1 down, in arrays.  The result is sorted
+    lexicographically, in +/- pairs.  A level of more than ``ENUM_CAP``
+    candidates (zero and points just beyond R included) raises before it is built.
     """
-    if R <= 0:
-        raise ValueError("R must be positive")
-    L = cholesky(Q)
-    U = L.T  # Q[v] = ||U v||^2
+    if not 0 < R < np.inf:
+        raise ValueError("R must be positive and finite")
+    U = cholesky(Q).T  # Q[v] = ||U v||^2
     r = U.shape[0]
-    found: list[tuple[int, ...]] = []
-
-    def descend(level: int, v: list[int], partial: np.ndarray, budget: float):
-        # partial[i] = sum_{j>level} U[i, j] v_j for i <= level
-        if budget < -1e-12:
-            return
+    # a row per partial vector: coordinates, partial[k, i] = sum_{j>level} U[i, j] v_j, budget
+    coords = np.zeros((1, r), dtype=int)
+    partial = np.zeros((1, r))
+    budget = np.array([float(R) * (1 + 1e-12)])
+    for level in range(r - 1, -1, -1):
         uii = U[level, level]
-        center = -partial[level] / uii
-        half = np.sqrt(max(budget, 0.0)) / abs(uii)
-        lo = int(np.ceil(center - half - 1e-12))
-        hi = int(np.floor(center + half + 1e-12))
-        for n in range(lo, hi + 1):
-            contrib = (uii * n + partial[level]) ** 2
-            rem = budget - contrib
-            if rem < -1e-12:
-                continue
-            v[level] = n
-            if level == 0:
-                if any(v):
-                    found.append(tuple(v))
-                    if len(found) > ENUM_CAP:
-                        raise EnumerationCapError(f"more than {ENUM_CAP} vectors below R={R}")
-            else:
-                descend(level - 1, v, partial + U[:, level] * n, rem)
-            v[level] = 0
-
-    descend(r - 1, [0] * r, np.zeros(r), float(R) * (1 + 1e-12))
-    if not found:
-        return np.zeros((0, r), dtype=int)
-    return np.array(sorted(found), dtype=int)
+        center = -partial[:, level] / uii
+        half = np.sqrt(np.maximum(budget, 0.0)) / uii
+        lo = np.ceil(center - half - 1e-12)
+        count = np.floor(center + half + 1e-12) - lo + 1  # >= 0: rounding is monotone
+        if count.sum() > ENUM_CAP:
+            raise EnumerationCapError(f"more than {ENUM_CAP} candidates at R={R}")
+        row = np.arange(count.size).repeat(count.astype(int))
+        n = lo[row] - (count.cumsum() - count)[row] + np.arange(row.size)
+        rem = budget[row] - (uii * n + partial[row, level]) ** 2
+        keep = rem >= -1e-12
+        row, n, budget = row[keep], n[keep], rem[keep]
+        coords = coords[row]
+        coords[:, level] = n
+        partial = partial[row, :level] + U[:level, level] * n[:, None]
+    vs = coords[coords.any(axis=1)]
+    return vs[np.lexsort(vs.T[::-1])]
 
 
 def reduce_sl2(z) -> tuple[complex, np.ndarray]:

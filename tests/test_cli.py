@@ -202,6 +202,21 @@ def test_nonpositive_contour_height_is_usage_error(argv):
         assert err.startswith("error:") and "T must be positive" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["epstein", "--Q", "identity", "--r", "2", "--s", "inf"],
+    ["repulsion", "--D", "-4", "--a", "10", "--T", "inf"],
+    ["epstein", "--Q", "identity", "--r", "2", "--s", "nan"],
+    ["eisenstein", "--z", "0,1", "--s", "nan,0"],
+    ["epstein", "--Q", "identity", "--r", "2", "--s", "2", "--tol", "nan"],
+    ["epstein", "--Q", "identity", "--r", "2", "--s", "2", "--tol", "0"],
+], ids=["s-inf", "T-inf", "s-nan", "s-nan-complex", "tol-nan", "tol-zero"])
+def test_non_finite_number_is_usage_error(argv):
+    # inf and nan reach no computation and print no NaN into the JSON
+    code, out, err = run(argv)
+    assert (code, out) == (2, "")
+    assert "is not a finite number" in err
+
+
 def test_repulsion_window_above_contour_is_usage_error():
     argv = ["repulsion", "--D", "-4", "--a", "10", "--t-min", "10", "--t-max", "20"]
     for T in ("15", "20"):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from zetalab import hamiltonian, specfun
-from zetalab.eisenstein import e1_star
+from zetalab.eisenstein import e1_star, eisenstein_sl2
 
 
 def test_ground_eigenvalue_constant():
@@ -83,6 +83,17 @@ def test_fd_laplacian_harmonic_and_guard():
     assert abs(hamiltonian.fd_laplacian(lambda p: p.real, z, 1e-3)) < 1e-10
     with pytest.raises(ValueError):
         hamiltonian.fd_laplacian(lambda p: p.real, 0.1 + 0.5j, 0.1)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: at h = 1e-3 the stencil amplifies the "
+                   "round-off of E_s by y^2/h^2; the residual is 1.07e-5 against 1e-5 "
+                   "(perfbench pointwise seed 904, round 11)")
+def test_fd_laplacian_eisenstein_eigenfunction():
+    z = complex(-0.2552460274195036, 1.6319909944377358)
+    s = complex(2.008413156952596, 0.0026720349700891655)
+    value = eisenstein_sl2(z, s).value
+    lap = hamiltonian.fd_laplacian(lambda p: eisenstein_sl2(p, s).value, z, 1e-3)
+    assert abs(lap - s * (s - 1.0) * value) / abs(value) < 1e-5
 
 
 def test_laplace_e1star_constant():

@@ -1,5 +1,6 @@
 """Quadratic-form utilities: Cholesky, enumeration, SL2 reduction."""
 
+import itertools
 import math
 
 import numpy as np
@@ -40,6 +41,9 @@ def test_validate_gram_rejects():
             check(np.array([[1.0, 0.5], [0.1, 1.0]]))
         with pytest.raises(ValueError):
             check(np.ones((2, 3)))
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError):
+                check(np.array([[1.0, 0.0], [0.0, bad]]))
 
 
 def test_normalize_det():
@@ -66,24 +70,32 @@ def test_enumerate_identity_counts():
         assert vs.shape[0] == count
 
 
-def test_enumerate_matches_box_scan():
+def skewed_spd(rng, r, cond):
+    O, _ = np.linalg.qr(rng.normal(size=(r, r)))
+    return O @ np.diag(np.geomspace(1.0, cond, r)) @ O.T
+
+
+@pytest.mark.parametrize("r, R, cond", [(2, 40.0, None), (3, 20.0, None), (4, 12.0, None),
+                                        (5, 8.0, None), (3, 20.0, 1e3)],
+                         ids=["r2", "r3", "r4", "r5", "r3-cond1e3"])
+def test_enumerate_matches_box_scan(r, R, cond):
     rng = np.random.default_rng(5)
-    Q = random_spd(rng, 3)
-    R = 20.0
-    vs = lattice.enumerate_vectors(Q, R)
-    got = {tuple(v) for v in vs}
-    # brute-force box scan: the smallest eigenvalue bounds the coordinates
+    Q = random_spd(rng, r) if cond is None else skewed_spd(rng, r, cond)
+    # brute-force box scan: the smallest eigenvalue bounds the coordinates,
+    # and itertools.product walks the box in lexicographic order
     lam = np.min(np.linalg.eigvalsh(Q))
     n = int(math.ceil(math.sqrt(R / lam))) + 1
-    expected = set()
-    grid = np.arange(-n, n + 1)
-    for a in grid:
-        for b in grid:
-            for c in grid:
-                v = np.array([a, b, c])
-                if (a, b, c) != (0, 0, 0) and float(v @ Q @ v) <= R + 1e-12:
-                    expected.add((a, b, c))
-    assert got == expected
+    box = np.array(list(itertools.product(range(-n, n + 1), repeat=r)))
+    values = np.einsum("ij,jk,ik->i", box, Q, box)
+    expected = box[(values <= R + 1e-12) & box.any(axis=1)]
+    vs = lattice.enumerate_vectors(Q, R)
+    assert vs.dtype == expected.dtype and np.array_equal(vs, expected)
+
+
+@pytest.mark.parametrize("R", [0.0, -1.0, math.inf, math.nan])
+def test_enumerate_rejects_radius(R):
+    with pytest.raises(ValueError):
+        lattice.enumerate_vectors(np.eye(2), R)
 
 
 def test_enumerate_invariants():
@@ -116,8 +128,12 @@ def test_enumerate_unimodular_invariance():
 
 def test_enumeration_cap(monkeypatch):
     monkeypatch.setattr(lattice, "ENUM_CAP", 1000)
-    with pytest.raises(lattice.EnumerationCapError):
-        lattice.enumerate_vectors(np.eye(2), 1e9)
+    # R = 1e9 (about 3e9 vectors) trips the cap at the first level, before
+    # any row is built; R = 400 (1256 vectors) only at the last one
+    for R in (1e9, 400.0):
+        with pytest.raises(lattice.EnumerationCapError):
+            lattice.enumerate_vectors(np.eye(2), R)
+    assert lattice.enumerate_vectors(np.eye(2), 300.0).shape == (948, 2)
 
 
 def test_as_point_validation():

@@ -315,6 +315,16 @@ def test_upper_gamma_small_x_bit_for_bit(s):
     assert specfun.regularized_upper_gamma_array(s, np.array(xs)).tolist() == reference
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the lift toward the pole at s = -2 "
+                   "loses 2.5e-8 relative at x = 2.5 (the cause of perfbench epstein-lattice "
+                   "seed 503, round 7)")
+def test_upper_gamma_near_negative_integer():
+    mpmath = pytest.importorskip("mpmath")
+    s, x = -2.0000672, 2.5
+    ref = complex(mpmath.gammainc(s, x))
+    assert abs(specfun.upper_incomplete_gamma(s, x) - ref) / abs(ref) < 1e-12
+
+
 # ---------------------------------------------------------------------------
 # Bessel K
 # ---------------------------------------------------------------------------
