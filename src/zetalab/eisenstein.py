@@ -165,17 +165,12 @@ def terras_limit(Q: np.ndarray, ell: int) -> float:
     lam_di = float(np.min(np.linalg.eigvalsh(np.atleast_2d(Di))))
     us, qu = _enum_with_values(A, (w_max / (2 * math.pi)) ** 2 / lam_di + 1e-9)
     vs, qv = _enum_with_values(Di, (w_max / (2 * math.pi)) ** 2 / lam_a + 1e-9)
-    H = 0.0
-    if us.shape[0] and vs.shape[0]:
-        for u, a_u in zip(us, qu):
-            w_args = 2.0 * math.pi * np.sqrt(a_u * qv)
-            keep = w_args <= w_max
-            if not keep.any():
-                continue
-            phases = np.cos(2.0 * math.pi * (vs[keep] @ (Y @ u)))
-            ratios = (qv[keep] / a_u) ** (ell / 4.0)
-            bessels = np.array([specfun.bessel_K(ell / 2.0, float(wv)).real for wv in w_args[keep]])
-            H += float(np.sum(phases * ratios * bessels))
+    w_args = 2.0 * math.pi * np.sqrt(np.outer(qu, qv))
+    iu, iv = np.nonzero(w_args <= w_max)
+    phases = np.cos(2.0 * math.pi * (vs @ (Y @ us.T))[iv, iu])
+    ratios = (qv[iv] / qu[iu]) ** (ell / 4.0)
+    bessels = specfun.bessel_K(ell / 2.0, w_args[iu, iv]).real
+    H = float(np.sum(phases * ratios * bessels))
     h_term = 2.0 * math.pi ** (r / 2.0) / (g_half_r * math.sqrt(det_D)) * H
 
     psi_term = (math.pi ** (r / 2.0) / (math.sqrt(det_Q) * g_half_r)

@@ -93,12 +93,15 @@ def _tail_bound(r: int, x_cut: float) -> float:
 
     For pi Q[v] = x > x_cut >= max(30, 3|s|) each term satisfies
     |x^{-s} Gamma(s, x)| <= 2 e^{-x}/x, and the shell count of lattice
-    points is bounded by 3 V_r (r/2) t^{r/2-1} dt at these radii.
+    points is bounded by 3 V_r (r/2) t^{r/2-1} dt at these radii, so the tail
+    is at most 6 V_r (r/2) pi^{-r/2} Gamma(a, x_cut) with a = r/2 - 1.  As
+    t^{a-1} <= x^{a-1} e^{(a-1)(t-x)/x} for t >= x, Gamma(a, x) is at most
+    x^{a-1} e^{-x} / (1 - max(a-1, 0)/x).
     """
     V = math.pi ** (r / 2.0) / math.gamma(r / 2.0 + 1.0)
-    a = max(r / 2.0 - 1.0, 1e-6)
-    integral = abs(specfun.upper_incomplete_gamma(a, x_cut))
-    return 6.0 * V * (r / 2.0) * math.pi ** (-r / 2.0) * integral
+    a = r / 2.0 - 1.0
+    gamma_bound = x_cut ** (a - 1.0) * math.exp(-x_cut) / (1.0 - max(a - 1.0, 0.0) / x_cut)
+    return 6.0 * V * (r / 2.0) * math.pi ** (-r / 2.0) * gamma_bound
 
 
 class _EpsteinPlan:

@@ -8,7 +8,7 @@ Everything here is double precision with explicit truncation control:
   series stays accurate on tall vertical lines (|Im s| up to ~1200) and a
   batch value equals the scalar value bit for bit.
 * ``upper_incomplete_gamma`` -- Legendre continued fraction spliced with the
-  lower-gamma power series.
+  lower-gamma power series; one array kernel for one x or many.
 * ``dirichlet_L`` -- Hurwitz-zeta decomposition for the small odd fundamental
   discriminants used by the imaginary-quadratic experiments.
 * ``bessel_K`` -- trapezoidal quadrature of the integral
@@ -21,8 +21,10 @@ Everything here is double precision with explicit truncation control:
 One calling rule, held by :func:`elementwise` alone: a scalar gives a Python
 scalar, an array an array of its shape.  It covers ``log_gamma``, ``digamma``,
 ``riemann_zeta``, ``hurwitz_zeta``, ``dirichlet_L``, ``xi_log``, ``xi_completed``,
-``eisenstein.c_scattering`` (``complex``) and ``spectral.hardy_rotation_zeta``/
-``_L`` (``float``); ``ArgTrack.value`` keeps the shape of ``t``.
+``bessel_K`` (in z), ``eisenstein.c_scattering`` (``complex``) and
+``spectral.hardy_rotation_zeta``/``_L`` (``float``); ``ArgTrack.value`` keeps the
+shape of ``t``.  The incomplete gamma and ``bessel_K`` raise ValueError unless
+every x or z is real, finite and positive.
 """
 
 from __future__ import annotations
@@ -348,26 +350,20 @@ def psi_arg_xi(t_max: float) -> ArgTrack:
     """Build the continuous branch of arg xi(1+2it) on [1e-3, t_max].
 
     Anchored at -pi/2 as t -> 0+ (the pole of xi at 1 gives
-    xi(1+2it) ~ -i/(2t)).  The grid refines adaptively until consecutive
-    psi steps stay below pi.
+    xi(1+2it) ~ -i/(2t)).  psi' = O(log t) on the grid of step 0.05, so a
+    principal step of psi stays far below pi (at most 0.49 up to t = 1500);
+    a step above 2.6 could not be unwrapped and raises RuntimeError.
     """
     if t_max <= _PSI_T_MIN:
         raise ValueError("t_max must exceed t_min")
     t = np.unique(np.append(np.arange(_PSI_T_MIN, t_max, _PSI_STEP), t_max))
     raw = _psi_raw(t)
-    for _ in range(12):
-        jumps = np.abs(_principal(np.diff(raw)))
-        bad = jumps > 2.6
-        if not bad.any():
-            break
-        mids = 0.5 * (t[:-1][bad] + t[1:][bad])
-        t = np.unique(np.concatenate([t, mids]))
-        raw = _psi_raw(t)
-    else:
-        raise RuntimeError("psi track failed to unwrap after maximal refinement")
+    steps = _principal(np.diff(raw))
+    if np.any(np.abs(steps) > 2.6):
+        raise RuntimeError("psi steps by more than 2.6 between grid points")
     psi = np.empty_like(raw)
     psi[0] = raw[0]  # approx -pi/2 near t=0
-    psi[1:] = psi[0] + np.cumsum(_principal(np.diff(raw)))
+    psi[1:] = psi[0] + np.cumsum(steps)
     max_step = float(np.max(np.abs(np.diff(psi)))) if psi.size > 1 else 0.0
     return ArgTrack(t_grid=t, psi_values=psi, max_step=max_step)
 
@@ -376,14 +372,44 @@ def psi_arg_xi(t_max: float) -> ArgTrack:
 # incomplete gamma
 # ---------------------------------------------------------------------------
 
+def _positive(x) -> np.ndarray:
+    """The real array of x; ValueError unless every x is real, finite and > 0."""
+    x = np.asarray(x)
+    if not np.all(np.isfinite(x) & (x.real > 0) & (x.imag == 0)):
+        raise ValueError("the incomplete gamma and K-Bessel need finite real x > 0")
+    return x.real
+
+
+def _cf_side(s: complex, xs) -> tuple[np.ndarray, np.ndarray]:
+    """The checked x and where the continued fraction takes them: x >= |s| + 1
+    or x >= 40.  The power series takes the rest."""
+    xs = _positive(xs)
+    return xs, (xs >= abs(s) + 1.0) | (xs >= 40.0)
+
+
 def upper_incomplete_gamma(s, x: float) -> complex:
     """Gamma(s, x) = int_x^oo u^{s-1} e^{-u} du for x > 0, entire in s."""
-    if x <= 0:
-        raise ValueError("upper_incomplete_gamma requires x > 0")
-    s = complex(s)
-    if x >= abs(s) + 1.0 or x >= 40.0:
-        return _upper_gamma_cf(s, x)
-    return _upper_gamma_small_x(s, [x])[0]
+    return complex(_upper_gamma(complex(s), [x])[0])
+
+
+def regularized_upper_gamma_array(s: complex, xs: np.ndarray) -> np.ndarray:
+    """Vectorized Gamma(s, x) over an array of positive x (fixed s).
+
+    Splits the array between the continued-fraction and power-series regimes;
+    used by the lattice-sum evaluators where thousands of x share one s.
+    """
+    return _upper_gamma(complex(s), xs)
+
+
+def _upper_gamma(s: complex, xs) -> np.ndarray:
+    xs, use_cf = _cf_side(s, xs)
+    out = np.empty(xs.shape, dtype=complex)
+    if use_cf.any():
+        out[use_cf] = _upper_gamma_cf_vec(s, xs[use_cf])
+    rest = ~use_cf
+    if rest.any():
+        out[rest] = _upper_gamma_small_x(s, xs[rest].tolist())
+    return out
 
 
 def _upper_gamma_small_x(s: complex, xs: list) -> list:
@@ -392,8 +418,9 @@ def _upper_gamma_small_x(s: complex, xs: list) -> list:
     Everything that depends on s alone is computed once for the whole list.
     """
     if s.real <= 0.5 and abs(s - round(s.real)) < 1e-8:
-        # near a Gamma pole the splice cancels badly; the CF stays valid
-        return [_upper_gamma_cf(s, x) for x in xs]
+        # near a Gamma pole the splice cancels badly; the CF stays valid.  One
+        # x at a time, as the CF of a batch runs until its slowest x converges
+        return [_upper_gamma_cf_vec(s, np.array([x]))[0] for x in xs]
     # lift Re s above 0.5 with Gamma(s,x) = (Gamma(s+1,x) - x^s e^{-x})/s,
     # maintaining Gamma(s,x) = coeff*Gamma(s0,x) + shift, where shift is
     # -sum_k c_k x^{s_k} e^{-x} over the lift steps (c_k, s_k)
@@ -417,14 +444,13 @@ def _upper_gamma_small_x(s: complex, xs: list) -> list:
 
 def lower_incomplete_gamma(s, x: float) -> complex:
     """gamma(s, x) = int_0^x u^{s-1} e^{-u} du (Re s > 0)."""
-    if x <= 0:
-        raise ValueError("lower_incomplete_gamma requires x > 0")
     s = complex(s)
+    xs, use_cf = _cf_side(s, [x])
     if s.real <= 0:
         raise ValueError("lower_incomplete_gamma requires Re s > 0")
-    if x >= abs(s) + 1.0 or x >= 40.0:
-        return cmath.exp(log_gamma(s)) - _upper_gamma_cf(s, x)
-    return _lower_gamma_series(s, x)
+    if use_cf[0]:
+        return complex(cmath.exp(log_gamma(s)) - _upper_gamma_cf_vec(s, xs)[0])
+    return _lower_gamma_series(s, float(xs[0]))
 
 
 def _lower_gamma_series(s: complex, x: float) -> complex:
@@ -436,47 +462,6 @@ def _lower_gamma_series(s: complex, x: float) -> complex:
         term *= x / (s + n)
         total += term
     return total * cmath.exp(s * math.log(x) - x)
-
-
-def _upper_gamma_cf(s: complex, x: float) -> complex:
-    tiny = 1e-290
-    b = x + 1.0 - s
-    c = 1.0 / tiny
-    d = 1.0 / (b if b != 0 else tiny)
-    f = d
-    for n in range(1, 300):
-        an = -n * (n - s)
-        b += 2.0
-        d = an * d + b
-        if d == 0:
-            d = tiny
-        c = b + an / c
-        if c == 0:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        f *= delta
-        if abs(delta - 1.0) < _TOL:
-            break
-    return cmath.exp(s * math.log(x) - x) * f
-
-
-def regularized_upper_gamma_array(s: complex, xs: np.ndarray) -> np.ndarray:
-    """Vectorized Gamma(s, x) over an array of positive x (fixed s).
-
-    Splits the array between the continued-fraction and power-series regimes;
-    used by the lattice-sum evaluators where thousands of x share one s.
-    """
-    s = complex(s)
-    xs = np.asarray(xs, dtype=float)
-    out = np.empty(xs.shape, dtype=complex)
-    use_cf = (xs >= abs(s) + 1.0) | (xs >= 40.0)
-    if use_cf.any():
-        out[use_cf] = _upper_gamma_cf_vec(s, xs[use_cf])
-    rest = ~use_cf
-    if rest.any():
-        out[rest] = _upper_gamma_small_x(s, xs[rest].tolist())
-    return out
 
 
 def _upper_gamma_cf_vec(s: complex, xs: np.ndarray) -> np.ndarray:
@@ -504,33 +489,49 @@ def _upper_gamma_cf_vec(s: complex, xs: np.ndarray) -> np.ndarray:
 # K-Bessel
 # ---------------------------------------------------------------------------
 
-def bessel_K(nu, z: float) -> complex:
-    """K_nu(z) for z > 0 via K_nu(z) = int_0^oo e^{-z cosh v} cosh(nu v) dv.
+def bessel_K(nu, z):
+    """K_nu(z) for real z > 0 via K_nu(z) = int_0^oo e^{-z cosh v} cosh(nu v) dv.
 
     The substitution u = e^v symmetrizes the defining integral
     (1/2) int_0^oo exp(-z(u+1/u)/2) u^{nu-1} du; trapezoid sums converge
     geometrically for this analytic, doubly-exponentially decaying integrand.
+    A scalar z gives a ``complex``, an array of z an array of its shape.
     """
-    if z <= 0:
-        raise ValueError("bessel_K requires z > 0")
-    nu = complex(nu)
+    return _bessel_K_of_z(z, complex(nu))
+
+
+@elementwise
+def _bessel_K_of_z(z, nu: complex):
+    """Each z sums its own grid 0 .. v_max and halves its own step h.
+
+    The grids lie end to end, each after a 0, and ``np.add.reduceat`` adds
+    each exactly as ``np.sum`` adds it alone (see :func:`_em_sum`), so a
+    batch value equals the scalar value bit for bit.
+    """
+    z = _positive(z)
     nr = abs(nu.real)
-    v_max = 2.0
-    while z * math.cosh(v_max) - nr * v_max - z < 60.0:
-        v_max += 0.5
-        if v_max > 700.0:
-            break
-    h = 0.5
-    prev = None
-    for _ in range(14):
-        v = np.arange(0.0, v_max + h, h)
-        g = np.exp(-z * np.cosh(v)) * np.cosh(nu * v)
-        total = h * (np.sum(g) - 0.5 * g[0])
-        if prev is not None and abs(total - prev) <= _TOL * abs(total) + 1e-300:
-            return complex(total)
-        prev = total
-        h *= 0.5
-    return complex(prev)
+    v_max = np.full(z.shape, 2.0)
+    grow = z * np.cosh(v_max) - nr * v_max - z < 60.0
+    while grow.any():
+        v_max[grow] += 0.5
+        grow &= (v_max <= 700.0) & (z * np.cosh(v_max) - nr * v_max - z < 60.0)
+    out = np.full(z.shape, np.nan, dtype=complex)  # the last sum of each z
+    # 256 z per pass bound the grid arrays of a long batch
+    for lo in range(0, z.size, 256):
+        todo = np.arange(lo, min(lo + 256, z.size))  # the z still halving h
+        h = 0.5
+        while todo.size and h >= 0.5 ** 14:  # at most 14 step sizes
+            rows = (v_max[todo] / h).astype(int) + 2  # a leading 0, then v = 0, h, .., v_max
+            first = np.cumsum(rows) - rows
+            v = h * (np.arange(rows.sum()) - np.repeat(first + 1, rows))
+            g = np.exp(-np.repeat(z[todo], rows) * np.cosh(v)) * np.cosh(nu * v)
+            g[first] = 0.0
+            total = h * (np.add.reduceat(g, first) - 0.5 * g[first + 1])
+            done = np.abs(total - out[todo]) <= _TOL * np.abs(total) + 1e-300
+            out[todo] = total
+            todo = todo[~done]
+            h *= 0.5
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -103,13 +103,22 @@ def test_terras_against_laurent():
     assert abs(closed - a0) / abs(a0) < 1e-6
 
 
-def test_terras_coupled_form():
+def test_terras_coupled_form(monkeypatch):
+    # the Bessel double sum is one K-Bessel batch over all kept (u, v) pairs
+    batches = []
+    bessel_K = specfun.bessel_K
+
+    def counted(nu, z):
+        batches.append(np.size(z))
+        return bessel_K(nu, z)
+    monkeypatch.setattr(specfun, "bessel_K", counted)
     rng = np.random.default_rng(6)
     B = rng.normal(size=(3, 3)) * 0.2
     Q, _ = lattice.normalize_det(np.eye(3) + B @ B.T)
     a = eisenstein.terras_limit(Q, 1)
     b = eisenstein.terras_limit(Q, 2)
     assert abs(a - b) < 1e-9 * max(1.0, abs(a))
+    assert len(batches) == 2 and min(batches) > 100
 
 
 def test_heegner_identity():

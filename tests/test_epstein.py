@@ -135,12 +135,28 @@ def test_pole_guard():
         epstein.epstein_zeta(np.eye(2), 0.0)
 
 
-def test_error_bound_honesty():
+def test_error_bound_honesty(monkeypatch):
+    # the tail part of the bound is a closed form: no scalar Gamma(s, x) call
+    calls = []
+    monkeypatch.setattr(specfun, "upper_incomplete_gamma", lambda *a: calls.append(a))
     Q = det1(np.array([[1.5, 0.2], [0.2, 1.0]]))
     s = 1.3 + 4.0j
     loose = epstein.epstein_zeta(Q, s, tol=1e-6)
     tight = epstein.epstein_zeta(Q, s, tol=1e-13)
     assert abs(loose.value - tight.value) <= loose.error_bound + 1e-14
+    assert calls == []
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 5, 6])
+def test_tail_bound_majorizes_its_gamma(r):
+    # the derivation's 6 V_r (r/2) pi^{-r/2} Gamma(r/2 - 1, x_cut), where
+    # x_cut = max(30, 3|s|, -1.2 log tol): the floor, |s| = 12, 20 and 33.3,
+    # tol = 1e-300 (829), and 27.6 (tol = 1e-10) below the floor
+    mpmath = pytest.importorskip("mpmath")
+    V = math.pi ** (r / 2.0) / math.gamma(r / 2.0 + 1.0)
+    for x_cut in (27.6, 30.0, 36.0, 60.0, 100.0, 829.0):
+        exact = 6.0 * V * (r / 2.0) * math.pi ** (-r / 2.0) * mpmath.gammainc(r / 2.0 - 1.0, x_cut)
+        assert epstein._tail_bound(r, x_cut) >= float(exact)
 
 
 def _laurent_one_call_per_node(Q, center, max_order=1, radius=0.1, nodes=64, tol=1e-8):

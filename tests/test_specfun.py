@@ -130,10 +130,14 @@ def test_dirichlet_L_direct_series():
     assert abs(complex(specfun.dirichlet_L(2.0, -4)) - partial) < 1e-9
 
 
+def bessel_K_of_z(z, nu):
+    return specfun.bessel_K(nu, z)
+
+
 # the functions under one calling rule with a complex value: (function,
 # extra arguments, a 2-D batch of s away from the poles with a real first
 # entry; the batches reach the reflection branches and the s = 1 branch of
-# dirichlet_L)
+# dirichlet_L, and z whose K-Bessel cut-offs v_max and halvings differ)
 _ELEMENTWISE = [
     (specfun.log_gamma, (), [[2.0, 0.5 + 20j], [-3.5 + 2j, 1.5 - 7j]]),
     (specfun.digamma, (), [[2.0, 0.5 + 20j], [-3.5 + 2j, 1.5 - 7j]]),
@@ -143,6 +147,7 @@ _ELEMENTWISE = [
     (specfun.xi_log, (), [[2.0, 0.5 + 20j], [-3.5 + 2j, 1.5 - 7j]]),
     (specfun.xi_completed, (), [[2.0, 0.5 + 20j], [-3.5 + 2j, 1.5 - 7j]]),
     (eisenstein.c_scattering, (), [[2.0, 0.5 + 20j], [-3.5 + 2j, 1.5 - 7j]]),
+    (bessel_K_of_z, (0.3 + 0.2j,), [[0.05, 1.0], [7.0, 36.0]]),
 ]
 
 
@@ -290,7 +295,7 @@ def test_regularized_upper_gamma_array_real_s():
 def _upper_gamma_lift_per_x(s: complex, x: float) -> complex:
     """Reference: the small-x splice with the whole lift redone for one x."""
     if s.real <= 0.5 and abs(s - round(s.real)) < 1e-8:
-        return specfun._upper_gamma_cf(s, x)
+        return specfun._upper_gamma_cf_vec(s, np.array([x]))[0]
     coeff = 1.0 + 0.0j
     shift = 0.0 + 0.0j
     s0 = s
@@ -323,6 +328,22 @@ def test_upper_gamma_near_negative_integer():
     s, x = -2.0000672, 2.5
     ref = complex(mpmath.gammainc(s, x))
     assert abs(specfun.upper_incomplete_gamma(s, x) - ref) / abs(ref) < 1e-12
+
+
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("call", [
+    lambda x: specfun.upper_incomplete_gamma(1.5, x),
+    lambda x: specfun.lower_incomplete_gamma(1.5, x),
+    lambda x: specfun.regularized_upper_gamma_array(1.5 - 2j, np.array([1.0, x])),
+    lambda x: specfun.bessel_K(0.5, x),
+    lambda x: specfun.bessel_K(0.5, np.array([1.0, x])),
+], ids=["upper", "lower", "upper_array", "bessel_K", "bessel_K_array"])
+@pytest.mark.parametrize("x", [_NAN, _INF, -_INF, 0.0, -2.0, 1.0 + 1.0j])
+def test_non_positive_or_non_finite_argument_raises(call, x):
+    with pytest.raises(ValueError, match="finite real x > 0"):
+        call(x)
 
 
 # ---------------------------------------------------------------------------
@@ -435,6 +456,12 @@ def test_psi_track_matches_raw_argument():
         diff = (track.value(t) - raw) / (2 * math.pi)
         # the track differs from the principal branch by an integer winding
         assert abs(diff - round(diff)) < 0.05
+
+
+def test_psi_track_raises_on_a_step_it_cannot_unwrap(monkeypatch):
+    monkeypatch.setattr(specfun, "_psi_raw", lambda t: np.where(t < 5.0, 0.0, 3.0))
+    with pytest.raises(RuntimeError, match="more than 2.6"):
+        specfun.psi_arg_xi(10.0)
 
 
 def test_psi_growth():
