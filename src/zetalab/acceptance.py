@@ -207,14 +207,13 @@ def _c10_potential_growth(rng) -> tuple[bool, dict]:
 
 
 def _c11_exotic_roots(rng) -> tuple[bool, dict]:
-    track = specfun.psi_arg_xi(51.0)
     detail = {}
     ok = True
     for a in (5.0, 10.0):
-        roots = spectral.exotic_roots(a, 0.1, 50.0, track)
+        roots = spectral.exotic_roots(a, 0.1, 50.0)
         max_res = max(r.residual for r in roots)
-        predicted = spectral.root_count_prediction(a, 0.1, 50.0, track)
-        rows = spectral.spacing_statistics(roots, track)
+        predicted = spectral.root_count_prediction(a, 0.1, 50.0)
+        rows = spectral.spacing_statistics(roots)
         max_gap_dev = max(abs(row.gap - row.comparator) / row.gap for row in rows)
         ok = ok and max_res < 1e-8 and abs(len(roots) - predicted) <= 1 \
             and max_gap_dev < 0.02
@@ -339,11 +338,11 @@ def _c14_specfun_floor(rng) -> tuple[bool, dict]:
     detail["eta_modularity"] = worst
     ok = ok and worst < 1e-9
 
-    # psi unwrapping
-    track = specfun.psi_arg_xi(60.0)
-    increasing = bool(np.all(np.diff(track.t_grid) > 0))
-    detail["psi_max_step"] = track.max_step
-    ok = ok and track.max_step < math.pi and increasing
+    # psi = arg xi(1+2it): no raise on the grid, continuous across it
+    sample = specfun.psi_arg_xi(60.0)
+    increasing = bool(np.all(np.diff(sample.t_grid) > 0))
+    detail["psi_max_step"] = sample.max_step
+    ok = ok and sample.max_step < math.pi and increasing
     return ok, detail
 
 

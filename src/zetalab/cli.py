@@ -149,34 +149,27 @@ def _cmd_ground_state(args) -> _Result:
             worst < args.tol, (header, rows))
 
 
-def _roots(args):
-    """The psi-track up to t_max + 1 and the exotic roots in the window."""
-    track = specfun.psi_arg_xi(args.t_max + 1.0)
-    return track, spectral.exotic_roots(args.a, args.t_min, args.t_max, track)
-
-
 def _cmd_exotic_roots(args) -> _Result:
-    track, roots = _roots(args)
-    stats = spectral.spacing_statistics(roots, track) if len(roots) >= 3 else []
+    roots = spectral.exotic_roots(args.a, args.t_min, args.t_max)
+    stats = spectral.spacing_statistics(roots) if len(roots) >= 3 else []
     rows = [[f"{root.t:.12f}", f"{root.residual:.3g}", "", ""] for root in roots]
     for row, stat in zip(rows, stats):
         row[2:] = [f"{stat.gap:.9f}", f"{stat.comparator:.9f}"]
     return ({"kind": "exotic_roots", "a": args.a, "count": len(roots),
-             "predicted": spectral.root_count_prediction(
-                 args.a, args.t_min, args.t_max, track),
+             "predicted": spectral.root_count_prediction(args.a, args.t_min, args.t_max),
              "roots": [{"t": r.t, "residual": r.residual} for r in roots]},
             not any(r.residual >= 1e-8 for r in roots),
             (["t", "residual", "gap", "comparator"], rows))
 
 
 def _cmd_spacing(args) -> _Result:
-    track, roots = _roots(args)
+    roots = spectral.exotic_roots(args.a, args.t_min, args.t_max)
     if len(roots) < 3:
         raise _TooFewRoots("fewer than 3 roots in the window")
     header = ["t_mid", "gap", "comparator", "pi_over_log_t"]
     rows = [[f"{r.t:.9f}", f"{r.gap:.9f}", f"{r.comparator:.9f}",
              f"{r.pi_over_log_t:.9f}"]
-            for r in spectral.spacing_statistics(roots, track)]
+            for r in spectral.spacing_statistics(roots)]
     return ({"kind": "spacing", "a": args.a, "rows": _records(header, rows)},
             True, (header, rows))
 

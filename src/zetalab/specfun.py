@@ -15,16 +15,16 @@ Everything here is double precision with explicit truncation control:
   K_nu(z) = int_0^oo exp(-z cosh v) cosh(nu v) dv (geometric convergence).
 * ``dedekind_eta`` / ``eta_log_derivative`` -- q-product after fundamental
   domain reduction, with the full multiplier system tracked.
-* ``psi_arg_xi`` -- a continuous branch of arg xi(1+2it) anchored at -pi/2
-  as t -> 0+, returned as an :class:`ArgTrack`.
+* ``psi_xi`` -- psi(t) = arg xi(1+2it), anchored at -pi/2 as t -> 0+;
+  ``psi_arg_xi`` samples it on a grid as an :class:`ArgTrack`.
 
 One calling rule, held by :func:`elementwise` alone: a scalar gives a Python
 scalar, an array an array of its shape.  It covers ``log_gamma``, ``digamma``,
 ``riemann_zeta``, ``hurwitz_zeta``, ``dirichlet_L``, ``xi_log``, ``xi_completed``,
-``bessel_K`` (in z), ``eisenstein.c_scattering`` (``complex``) and
-``spectral.hardy_rotation_zeta``/``_L`` (``float``); ``ArgTrack.value`` keeps the
-shape of ``t``.  The incomplete gamma and ``bessel_K`` raise ValueError unless
-every x or z is real, finite and positive.
+``bessel_K`` (in z), ``eisenstein.c_scattering`` (``complex``), ``psi_xi``
+and ``spectral.hardy_rotation_zeta``/``_L`` (``float``).  The incomplete gamma
+and ``bessel_K`` raise ValueError unless every x or z is real, finite and
+positive.
 """
 
 from __future__ import annotations
@@ -50,6 +50,7 @@ __all__ = [
     "log_gamma",
     "lower_incomplete_gamma",
     "psi_arg_xi",
+    "psi_xi",
     "riemann_zeta",
     "upper_incomplete_gamma",
     "xi_completed",
@@ -74,7 +75,7 @@ _BERNOULLI = [
 _STIRLING_RADIUS = 25.0
 _TWO_PI = 2.0 * math.pi
 _TOL = 1e-13  # relative stop of the incomplete gamma and K-Bessel iterations
-_PSI_T_MIN, _PSI_STEP = 1e-3, 0.05  # start and grid step of every psi track
+_PSI_T_MIN, _PSI_STEP = 1e-3, 0.05  # start and grid step of a psi sample
 _ETA_TERMS, _E2_TERMS = 64, 80  # q-expansion lengths; |q| <= e^{-3 pi / 2} where they run
 
 
@@ -312,7 +313,7 @@ def xi_log(s):
     """log xi(s) with xi(s) = pi^{-s/2} Gamma(s/2) zeta(s).
 
     The imaginary part is continuous in the Gamma factor (analytic log) but
-    uses the principal log of zeta; consumers unwrap residual 2 pi jumps.
+    uses the principal log of zeta; :func:`psi_xi` says where that is safe.
     """
     return -(s / 2.0) * math.log(math.pi) + log_gamma(s / 2.0) + np.log(riemann_zeta(s))
 
@@ -325,47 +326,38 @@ def xi_completed(s):
     return np.exp(xi_log(s))
 
 
+@elementwise
+def psi_xi(t):
+    """psi(t) = arg xi(1+2it) = -t log pi + Im log Gamma(1/2+it) + arg zeta(1+2it).
+
+    log Gamma is on its analytic branch and arg zeta is principal, which is
+    continuous while Re zeta(1+2it) > 0 (its minimum is 0.19 on [1e-3, 1500]),
+    so psi is the branch anchored at -pi/2 as t -> 0+ (xi(1+2it) ~ -i/(2t)).
+    Raises ValueError where Re zeta(1+2it) <= 0, as arg zeta could jump there.
+    """
+    t = t.real
+    zeta = riemann_zeta(1.0 + 2j * t)
+    if np.any(zeta.real <= 0.0):
+        raise ValueError("Re zeta(1+2it) <= 0: the principal arg of zeta could jump there")
+    return -t * math.log(math.pi) + log_gamma(0.5 + 1j * t).imag + np.angle(zeta)
+
+
 @dataclass(frozen=True)
 class ArgTrack:
-    """Continuous branch of psi(t) = arg xi(1+2it) on an ascending grid."""
+    """psi(t) = arg xi(1+2it) sampled on an ascending grid."""
 
     t_grid: np.ndarray
     psi_values: np.ndarray
     max_step: float
 
-    def value(self, t):
-        return np.interp(t, self.t_grid, self.psi_values)
-
-
-def _psi_raw(t: np.ndarray) -> np.ndarray:
-    """Im log xi(1+2it), branch of arg zeta principal (jumps fixed later)."""
-    return xi_log(1.0 + 2j * np.asarray(t, dtype=float)).imag
-
-
-def _principal(d: np.ndarray) -> np.ndarray:
-    return (d + math.pi) % _TWO_PI - math.pi
-
 
 def psi_arg_xi(t_max: float) -> ArgTrack:
-    """Build the continuous branch of arg xi(1+2it) on [1e-3, t_max].
-
-    Anchored at -pi/2 as t -> 0+ (the pole of xi at 1 gives
-    xi(1+2it) ~ -i/(2t)).  psi' = O(log t) on the grid of step 0.05, so a
-    principal step of psi stays far below pi (at most 0.49 up to t = 1500);
-    a step above 2.6 could not be unwrapped and raises RuntimeError.
-    """
+    """Sample :func:`psi_xi` on [1e-3, t_max] with step 0.05 and t_max last."""
     if t_max <= _PSI_T_MIN:
         raise ValueError("t_max must exceed t_min")
     t = np.unique(np.append(np.arange(_PSI_T_MIN, t_max, _PSI_STEP), t_max))
-    raw = _psi_raw(t)
-    steps = _principal(np.diff(raw))
-    if np.any(np.abs(steps) > 2.6):
-        raise RuntimeError("psi steps by more than 2.6 between grid points")
-    psi = np.empty_like(raw)
-    psi[0] = raw[0]  # approx -pi/2 near t=0
-    psi[1:] = psi[0] + np.cumsum(steps)
-    max_step = float(np.max(np.abs(np.diff(psi)))) if psi.size > 1 else 0.0
-    return ArgTrack(t_grid=t, psi_values=psi, max_step=max_step)
+    psi = psi_xi(t)
+    return ArgTrack(t_grid=t, psi_values=psi, max_step=float(np.max(np.abs(np.diff(psi)))))
 
 
 # ---------------------------------------------------------------------------

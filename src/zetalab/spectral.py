@@ -113,44 +113,25 @@ def _scattering_residual(t: np.ndarray, a: float) -> list[float]:
             for wk, ck in zip(w.tolist(), eisenstein.c_scattering(w).tolist())]
 
 
-def _psi_exact(track: specfun.ArgTrack, t: np.ndarray) -> np.ndarray:
-    """psi(t) recomputed from xi, branch-matched to the interpolated track.
-
-    The track's linear interpolation carries O(step^2 * psi'') error, which
-    the zeta fluctuations on Re s = 1 make as large as ~1e-2; root polishing
-    needs the exact value on the track's continuous branch.
-    """
-    raw = specfun.xi_log(1.0 + 2j * t).imag
-    approx = track.value(t)
-    return raw + 2.0 * math.pi * np.round((approx - raw) / (2.0 * math.pi))
+def _phase(a: float, t):
+    return t * math.log(a) + specfun.psi_xi(t)
 
 
-def _phase(track: specfun.ArgTrack, a: float, t):
-    return t * math.log(a) + track.value(t)
-
-
-def _check_reach(track: specfun.ArgTrack, t: float) -> None:
-    """Raise unless the track reaches t: past its end, psi would be held constant."""
-    if track.t_grid[-1] < t:
-        raise ValueError(f"the psi track ends at t = {track.t_grid[-1]:g}, before t = {t:g}")
-
-
-def root_count_prediction(a: float, t_min: float, t_max: float,
-                          track: specfun.ArgTrack) -> int:
+def root_count_prediction(a: float, t_min: float, t_max: float) -> int:
     """Number of cosine zeros predicted by the phase increment."""
-    _check_reach(track, t_max)
-    lo, hi = _phase(track, a, np.array([t_min, t_max]))
+    lo, hi = _phase(a, np.array([t_min, t_max]))
     return int(math.floor((hi + math.pi / 2) / math.pi)
                - math.floor((lo + math.pi / 2) / math.pi))
 
 
-def exotic_roots(a: float, t_min: float = 0.1, t_max: float = 50.0,
-                 track: specfun.ArgTrack | None = None) -> list[SpectralRoot]:
+def exotic_roots(a: float, t_min: float = 0.1, t_max: float = 50.0) -> list[SpectralRoot]:
     """All w = 1/2 + it in [t_min, t_max] with a^w + c_w a^{1-w} = 0.
 
-    Roots are bracketed as sign changes of cos(t log a + psi(t)) on a dense
-    grid, bisected together to 1e-13 in t, and re-validated against the
-    original complex equation.
+    Roots are bracketed as sign changes of cos(t log a + psi(t)) on a grid
+    of step min(0.05, 0.5/log a), bisected together to 1e-13 in t, and
+    re-validated against the original complex equation.  Up to t = 1500
+    (psi' < 9.9) the phase moves by under 1 rad per cell, far below the pi
+    between roots, so no cell holds two.
     """
     if a <= 1.0:
         raise ValueError("exotic_roots requires a > 1")
@@ -160,30 +141,13 @@ def exotic_roots(a: float, t_min: float = 0.1, t_max: float = 50.0,
         raise ValueError("t_min must be >= 0.1")
     if not t_min < t_max:
         raise ValueError("t_min must be below t_max")
-    if track is None:
-        track = specfun.psi_arg_xi(t_max + 1.0)
-    _check_reach(track, t_max)
-
-    def f(t: np.ndarray) -> np.ndarray:
-        return np.cos(t * math.log(a) + _psi_exact(track, t))
-
-    ts = np.arange(t_min, t_max + 0.005, 0.005)
-    phi = np.cos(_phase(track, a, ts))
-    i = np.nonzero(np.sign(phi[:-1]) * np.sign(phi[1:]) < 0)[0]
-    # widen the brackets: interpolation error can push the exact root
-    # slightly outside the grid cell that showed the sign change
-    lo = np.maximum(t_min, ts[i] - 0.01)
-    hi = np.minimum(t_max, ts[i + 1] + 0.01)
-    ends = f(np.concatenate([lo, hi]))
-    # same-sign ends are interpolation artifacts, no true crossing there
-    crossing = ~(ends[:i.size] * ends[i.size:] > 0)
-    t = _bisect(f, lo[crossing], hi[crossing], tol=1e-13)
+    t = _scan(lambda t: np.cos(_phase(a, t)), t_min, t_max,
+              step=min(0.05, 0.5 / math.log(a)), tol=1e-13)
     return [SpectralRoot(t=tk, residual=res, a=a)
             for tk, res in zip(t.tolist(), _scattering_residual(t, a))]
 
 
-def spacing_statistics(roots: list[SpectralRoot],
-                       track: specfun.ArgTrack) -> list[SpacingRow]:
+def spacing_statistics(roots: list[SpectralRoot]) -> list[SpacingRow]:
     """Consecutive gaps against the cosine-phase comparator pi/(log a + psi').
 
     psi' is taken by a symmetric difference across the gap itself: the
@@ -197,10 +161,9 @@ def spacing_statistics(roots: list[SpectralRoot],
         raise ValueError("need at least 3 roots for spacing statistics")
     a = roots[0].a
     t = np.array([r.t for r in roots])
-    _check_reach(track, t[-1])
     mid = 0.5 * (t[:-1] + t[1:])
     gap = t[1:] - t[:-1]
-    psi = _psi_exact(track, np.concatenate([mid + 0.5 * gap, mid - 0.5 * gap]))
+    psi = specfun.psi_xi(np.concatenate([mid + 0.5 * gap, mid - 0.5 * gap]))
     comp = math.pi / (math.log(a) + (psi[:gap.size] - psi[gap.size:]) / gap)
     return [SpacingRow(t=m, gap=g, comparator=c, pi_over_log_t=math.pi / math.log(m))
             for m, g, c in zip(mid.tolist(), gap.tolist(), comp.tolist())]
@@ -350,7 +313,7 @@ def hardy_rotation_L(t, D: int):
     return (np.exp(1j * theta) * specfun.dirichlet_L(0.5 + 1j * t, D)).real
 
 
-def _bisect(f, lo: np.ndarray, hi: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+def _bisect(f, lo: np.ndarray, hi: np.ndarray, tol: float) -> np.ndarray:
     """Bisect every bracket [lo_k, hi_k] of a sign change of f, in lockstep.
 
     Each step calls ``f`` once, on the midpoints of the brackets still open
@@ -372,13 +335,12 @@ def _bisect(f, lo: np.ndarray, hi: np.ndarray, tol: float = 1e-10) -> np.ndarray
     return 0.5 * (lo + hi)
 
 
-def scan_zeros(f, lo: float, hi: float, step: float = 0.02) -> list[float]:
-    """Sign changes of a real f on a grid over [lo, hi], bisected to 1e-10.
+def _scan(f, lo: float, hi: float, step: float, tol: float) -> np.ndarray:
+    """Sign changes of a real f on a grid over [lo, hi], bisected to tol.
 
-    ``f`` follows the library's calling rule and only ever gets arrays: the
-    whole grid in one call, then the open brackets' midpoints once per
-    bisection step.  The grid ends exactly at hi, so no zero past the
-    interval is reported.
+    ``f`` gets the whole grid in one call, then the open brackets' midpoints
+    once per bisection step.  The grid ends exactly at hi, so no zero past
+    the interval is reported.
     """
     if not lo < hi:
         raise ValueError("the scan window needs lo < hi")
@@ -386,7 +348,15 @@ def scan_zeros(f, lo: float, hi: float, step: float = 0.02) -> list[float]:
     ts = np.append(ts[ts < hi], hi)
     vals = f(ts)
     i = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
-    return _bisect(f, ts[i], ts[i + 1]).tolist()
+    return _bisect(f, ts[i], ts[i + 1], tol)
+
+
+def scan_zeros(f, lo: float, hi: float, step: float = 0.02) -> list[float]:
+    """Sign changes of a real f on a grid over [lo, hi], bisected to 1e-10.
+
+    ``f`` follows the library's calling rule and only ever gets arrays.
+    """
+    return _scan(f, lo, hi, step, tol=1e-10).tolist()
 
 
 def zeta_k_line_zeros(D: int, t_lo: float, t_hi: float) -> list[float]:
@@ -419,13 +389,12 @@ def repulsion_experiment(D: int, a: float, tau_lo: float, tau_hi: float,
     """
     if not tau_hi < cfg.T:
         raise ValueError(f"the window must end below the contour height T = {cfg.T:g}")
-    track = specfun.psi_arg_xi(tau_hi + 1.0)
-    cos_zeros = np.array(scan_zeros(lambda t: np.cos(_phase(track, a, t)),
+    cos_zeros = np.array(scan_zeros(lambda t: np.cos(_phase(a, t)),
                                     tau_lo, tau_hi, step=0.01))
     cache = _LineCache(D, cfg.T)
 
     def W(t: np.ndarray) -> np.ndarray:
-        th, F_tau = _phase(track, a, t), cache.theta_sq(t)
+        th, F_tau = _phase(a, t), cache.theta_sq(t)
         J = np.array([_j_from_cache(cache, tk, Fk) for tk, Fk in zip(t.tolist(), F_tau)])
         return np.cos(th) * J - np.sin(th) * F_tau / (2.0 * t)
 

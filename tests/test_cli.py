@@ -9,7 +9,7 @@ import numpy as np
 
 import pytest
 
-from zetalab import cli, epstein
+from zetalab import cli, epstein, specfun
 
 
 def run(argv):
@@ -223,6 +223,14 @@ def test_repulsion_window_above_contour_is_usage_error():
         code, out, err = run(argv + ["--T", T])
         assert (code, out) == (2, "")
         assert err.startswith("error:") and "below the contour height" in err
+
+
+def test_psi_raise_is_usage_error(monkeypatch):
+    # where Re zeta(1+2it) <= 0 psi_xi raises, and the CLI says why
+    monkeypatch.setattr(specfun, "riemann_zeta", lambda s: np.full(np.shape(s), -1.0 + 0.5j))
+    code, out, err = run(["exotic-roots", "--a", "5", "--t-max", "10"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "Re zeta(1+2it) <= 0" in err
 
 
 def test_tolerance_exit_code():

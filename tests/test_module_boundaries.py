@@ -190,8 +190,8 @@ def _names_without_caller(trees: dict[str, ast.Module]) -> list[str]:
     """Labels of the public definitions that no code outside their own body names.
 
     Matching is by bare name, as Python resolves neither ``obj.value`` nor a
-    module alias statically: a ``.value`` anywhere counts for
-    ``ArgTrack.value``.  Strings (``__all__`` entries, tracer probe keys) and
+    module alias statically: a ``.value`` anywhere counts for any method
+    named ``value``.  Strings (``__all__`` entries, tracer probe keys) and
     import statements are not references.
     """
     total = sum((_referenced(tree) for tree in trees.values()), Counter())

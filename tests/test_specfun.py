@@ -197,11 +197,10 @@ def test_batch_equals_scalar_bit_for_bit(f):
 
 # real-valued functions of a real height under the same rule: a float for
 # a scalar, a float array of the batch's shape, batch equal to scalar
-_TRACK = specfun.psi_arg_xi(40.0)
 _REAL_VALUED = [
     ("hardy_rotation_zeta", spectral.hardy_rotation_zeta),
     ("hardy_rotation_L", lambda t: spectral.hardy_rotation_L(t, -7)),
-    ("ArgTrack.value", _TRACK.value),
+    ("psi_xi", specfun.psi_xi),
 ]
 
 
@@ -443,29 +442,47 @@ def test_eta_log_derivative_limits():
 # ---------------------------------------------------------------------------
 
 def test_psi_track_anchor_and_continuity():
-    track = specfun.psi_arg_xi(30.0)
-    assert abs(track.value(track.t_grid[0]) + math.pi / 2) < 0.05
-    steps = np.abs(np.diff(track.psi_values))
-    assert float(np.max(steps)) < math.pi
+    sample = specfun.psi_arg_xi(30.0)
+    assert abs(sample.psi_values[0] + math.pi / 2) < 0.05
+    assert sample.psi_values.tolist() == specfun.psi_xi(sample.t_grid).tolist()
+    steps = np.abs(np.diff(sample.psi_values))
+    assert float(np.max(steps)) == sample.max_step < math.pi
 
 
-def test_psi_track_matches_raw_argument():
-    track = specfun.psi_arg_xi(30.0)
-    for t in (5.0, 13.7, 27.2):
-        raw = complex(specfun.xi_log(1.0 + 2j * t)).imag
-        diff = (track.value(t) - raw) / (2 * math.pi)
-        # the track differs from the principal branch by an integer winding
-        assert abs(diff - round(diff)) < 0.05
+def test_psi_is_the_imaginary_part_of_xi_log():
+    t = np.array([1e-3, 5.0, 13.7, 27.2, 300.0, 1500.0])
+    psi = specfun.psi_xi(t)
+    assert np.all(np.abs(psi - specfun.xi_log(1.0 + 2j * t).imag) <= 1e-15 * np.maximum(1.0, np.abs(psi)))
 
 
-def test_psi_track_raises_on_a_step_it_cannot_unwrap(monkeypatch):
-    monkeypatch.setattr(specfun, "_psi_raw", lambda t: np.where(t < 5.0, 0.0, 3.0))
-    with pytest.raises(RuntimeError, match="more than 2.6"):
+def test_psi_raises_where_re_zeta_is_not_positive(monkeypatch):
+    # the principal arg of zeta could jump there, so there is no honest psi
+    monkeypatch.setattr(specfun, "riemann_zeta", lambda s: np.where(s.imag < 10.0, 1.0, -1.0 + 0.5j))
+    assert specfun.psi_xi(np.array([1.0, 4.0])).shape == (2,)
+    with pytest.raises(ValueError, match="Re zeta"):
+        specfun.psi_xi(np.array([1.0, 6.0]))
+    with pytest.raises(ValueError, match="Re zeta"):
         specfun.psi_arg_xi(10.0)
 
 
 def test_psi_growth():
-    track = specfun.psi_arg_xi(60.0)
-    assert track.value(50.0) > track.value(10.0) > track.value(1.0)
-    slope = (track.value(31.0) - track.value(29.0)) / 2.0
+    psi = specfun.psi_xi(np.array([1.0, 10.0, 50.0]))
+    assert psi[2] > psi[1] > psi[0]
+    slope = (specfun.psi_xi(31.0) - specfun.psi_xi(29.0)) / 2.0
     assert 0.3 * math.log(30.0) < slope < 2.0 * math.log(30.0)
+
+
+def test_psi_against_mpmath():
+    # psi(t) = -t log pi + Im log Gamma(1/2+it) + arg zeta(1+2it) at 30 digits,
+    # where Re zeta(1+2it) > 0 keeps the principal arg on the continuous branch
+    mp = pytest.importorskip("mpmath").mp
+    ts = np.geomspace(1e-3, 1500.0, 40)
+    with mp.workdps(30):
+        refs = []
+        for t in ts.tolist():
+            zeta = mp.zeta(mp.mpc(1, 2 * t))
+            assert zeta.real > 0
+            refs.append(float(-t * mp.log(mp.pi) + mp.loggamma(mp.mpc(0.5, t)).imag + mp.arg(zeta)))
+    got = specfun.psi_xi(ts)
+    for g, r in zip(got.tolist(), refs):
+        assert abs(g - r) <= 1e-13 * max(1.0, abs(r))

@@ -20,13 +20,8 @@ def test_modular_domain_volume():
 
 
 @pytest.fixture(scope="module")
-def track30():
-    return specfun.psi_arg_xi(31.0)
-
-
-@pytest.fixture(scope="module")
-def roots_a10(track30):
-    return spectral.exotic_roots(10.0, 0.1, 30.0, track30)
+def roots_a10():
+    return spectral.exotic_roots(10.0, 0.1, 30.0)
 
 
 def test_exotic_roots_residuals(roots_a10):
@@ -37,9 +32,15 @@ def test_exotic_roots_residuals(roots_a10):
         assert r.residual < 1e-8
 
 
-def test_exotic_root_count_matches_prediction(roots_a10, track30):
-    predicted = spectral.root_count_prediction(10.0, 0.1, 30.0, track30)
-    assert abs(len(roots_a10) - predicted) <= 1
+def test_exotic_root_count_matches_prediction(roots_a10):
+    assert len(roots_a10) == spectral.root_count_prediction(10.0, 0.1, 30.0)
+
+
+def test_exotic_roots_grid_follows_a():
+    # the phase moves by about log a per unit t: a fixed 0.05 grid puts two
+    # roots in one cell here and finds 17 of the 23
+    roots = spectral.exotic_roots(1e30, 10.0, 11.0)
+    assert len(roots) == 23 == spectral.root_count_prediction(1e30, 10.0, 11.0)
 
 
 def test_exotic_root_solves_original_equation(roots_a10):
@@ -50,8 +51,7 @@ def test_exotic_root_solves_original_equation(roots_a10):
 
 
 def test_exotic_roots_a5():
-    track = specfun.psi_arg_xi(16.0)
-    roots = spectral.exotic_roots(5.0, 0.1, 15.0, track)
+    roots = spectral.exotic_roots(5.0, 0.1, 15.0)
     assert len(roots) >= 3
     assert all(r.residual < 1e-8 for r in roots)
 
@@ -93,38 +93,20 @@ def _count_calls(monkeypatch, module, name, arg=0):
 
 
 def test_exotic_roots_and_spacing_work_counts(monkeypatch):
-    # every bracket is refined in lockstep: one array xi_log call per step
-    calls = _count_calls(monkeypatch, specfun, "xi_log")
+    # every bracket is refined in lockstep: one array psi_xi call per step
+    calls = _count_calls(monkeypatch, specfun, "psi_xi")
     roots = spectral.exotic_roots(5.0, 0.1, 50.0)
     assert len(roots) == 55
     assert len(calls) < 50
     assert all(ndim == 1 for ndim, _ in calls)
     # both ends of every gap in one call
-    track = specfun.psi_arg_xi(51.0)
     calls.clear()
-    spectral.spacing_statistics(roots, track)
+    spectral.spacing_statistics(roots)
     assert calls == [(1, 2 * (len(roots) - 1))]
 
 
-def test_short_psi_track_raises():
-    # np.interp holds psi constant past the track's end: 17 roots instead
-    # of 55, a prediction of 32, gaps off their comparator by 2.0 relative
-    short = specfun.psi_arg_xi(20.0)
-    with pytest.raises(ValueError, match="psi track ends"):
-        spectral.exotic_roots(5.0, 0.1, 50.0, short)
-    with pytest.raises(ValueError, match="psi track ends"):
-        spectral.root_count_prediction(5.0, 0.1, 50.0, short)
-    roots = spectral.exotic_roots(5.0, 0.1, 50.0)
-    with pytest.raises(ValueError, match="psi track ends"):
-        spectral.spacing_statistics(roots, short)
-    # a track that reaches the window's top, or the last root, is enough
-    assert len(spectral.exotic_roots(5.0, 0.1, 20.0, short)) > 0
-    assert spectral.root_count_prediction(5.0, 0.1, 20.0, short) > 0
-    assert len(spectral.spacing_statistics([r for r in roots if r.t <= 20.0], short)) > 0
-
-
-def test_spacing_statistics(roots_a10, track30):
-    rows = spectral.spacing_statistics(roots_a10, track30)
+def test_spacing_statistics(roots_a10):
+    rows = spectral.spacing_statistics(roots_a10)
     assert len(rows) == len(roots_a10) - 1
     for row in rows:
         # psi' < 0 at small t lets gaps exceed pi/log a slightly
