@@ -286,7 +286,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         doc, passed, table = args.handler(args)
     except (_TooFewRoots, epstein.LaurentConvergenceError,
-            lattice.EnumerationCapError) as exc:
+            lattice.EnumerationCapError, specfun.NonConvergenceError) as exc:
         print(f"non-convergence: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGENCE
     except (OSError, ValueError, ZeroDivisionError, KeyError) as exc:

@@ -1,4 +1,4 @@
-"""Quadratic-form plumbing: Gram matrices, enumeration, SL2(Z) reduction.
+"""Quadratic-form plumbing: Gram matrices, enumeration, points of the half plane.
 
 A Gram matrix is a real symmetric positive-definite r x r numpy array
 (2 <= r <= 6) representing Q[v] = v Q v^T on Z^r.  Upper-half-plane points
@@ -17,7 +17,6 @@ __all__ = [
     "gram_of_point",
     "normalize_det",
     "quadratic_values",
-    "reduce_sl2",
     "validate_gram",
 ]
 
@@ -117,36 +116,6 @@ def enumerate_vectors(Q: np.ndarray, R: float) -> np.ndarray:
         partial = partial[row, :level] + U[:level, level] * n[:, None]
     vs = coords[coords.any(axis=1)]
     return vs[np.lexsort(vs.T[::-1])]
-
-
-def reduce_sl2(z) -> tuple[complex, np.ndarray]:
-    """Move z to the fundamental domain |x| <= 1/2, |z| >= 1 of SL2(Z).
-
-    Returns (z', gamma) with z' = gamma . z; boundary ties are resolved
-    toward x' <= 0.
-    """
-    w = as_point(z)
-    g = np.eye(2, dtype=int)
-    for _ in range(10_000):
-        n = round(w.real)
-        if n != 0:
-            w = w - n
-            g = np.array([[1, -n], [0, 1]], dtype=int) @ g
-        if abs(w) < 1.0 - 1e-15:
-            w = -1.0 / w
-            g = np.array([[0, -1], [1, 0]], dtype=int) @ g
-        else:
-            break
-    else:
-        raise RuntimeError("SL2 reduction failed to terminate")
-    # tie-breaking toward x <= 0
-    if w.real > 0.5 - 1e-12:
-        w = w - 1
-        g = np.array([[1, -1], [0, 1]], dtype=int) @ g
-    if abs(abs(w) - 1.0) < 1e-12 and w.real > 1e-12:
-        w = -1.0 / w
-        g = np.array([[0, -1], [1, 0]], dtype=int) @ g
-    return w, g
 
 
 def apply_mobius(gamma: np.ndarray, z) -> complex:

@@ -233,6 +233,14 @@ def test_psi_raise_is_usage_error(monkeypatch):
     assert err.startswith("error:") and "Re zeta(1+2it) <= 0" in err
 
 
+def test_eta_cap_is_non_convergence(monkeypatch):
+    # an eta reduction that runs out of steps raises, and the CLI exits 3
+    monkeypatch.setattr(specfun, "_ETA_STEPS", 0)
+    code, out, err = run(["kronecker", "--z", "0.3,1.2"])
+    assert (code, out) == (3, "")
+    assert err.startswith("non-convergence:")
+
+
 def test_tolerance_exit_code():
     # an impossible tolerance turns a passing check into exit code 1
     code, _, _ = run(["kronecker", "--z", "0,1", "--tol", "1e-30"])

@@ -144,27 +144,6 @@ def test_as_point_validation():
         lattice.as_point(complex(0.3, 0.0))
 
 
-def test_reduce_sl2_fixed_points():
-    z, gamma = lattice.reduce_sl2(1j)
-    assert abs(z - 1j) < 1e-15
-    z, gamma = lattice.reduce_sl2(0.25 + 1.3j)
-    assert abs(z - (0.25 + 1.3j)) < 1e-15
-    assert np.allclose(gamma, np.eye(2))
-
-
-def test_reduce_sl2_properties():
-    rng = np.random.default_rng(17)
-    for _ in range(30):
-        z = complex(rng.uniform(-3, 3), rng.uniform(0.01, 3))
-        w, gamma = lattice.reduce_sl2(z)
-        assert abs(round(float(np.linalg.det(gamma))) - 1) < 1e-9
-        assert abs(lattice.apply_mobius(gamma, z) - w) < 1e-9
-        assert abs(w.real) <= 0.5 + 1e-12
-        assert abs(w) >= 1.0 - 1e-12
-        w2, _ = lattice.reduce_sl2(w)
-        assert abs(w2 - w) < 1e-12
-
-
 def test_gram_of_point():
     z = 0.5 + 2j
     Q = lattice.gram_of_point(z)

@@ -1,7 +1,7 @@
-"""Tooling: a zetalab module reads only the public names of another, and
-imports its siblings at the top of the module; every public default is
-passed, and every public name named, by some library, CLI or benchmark
-code."""
+"""Tooling: a zetalab module reads only the public names of another,
+imports its siblings at the top of the module and only from earlier
+layers; every public default is passed, and every public name named, by
+some library, CLI or benchmark code."""
 
 import ast
 from collections import Counter
@@ -55,12 +55,52 @@ def _local_sibling_imports(tree: ast.Module) -> list[int]:
 
 def test_sibling_imports_at_module_top():
     # the check itself sees relative and absolute imports inside a function
-    probe = "from . import lattice\ndef f():\n    from .lattice import reduce_sl2\n" \
+    probe = "from . import lattice\ndef f():\n    from .lattice import cholesky\n" \
             "    import zetalab.lattice\n"
     assert _local_sibling_imports(ast.parse(probe)) == [3, 4]
     hits = [f"{path.name}:{line}" for path in sorted(SRC.glob("*.py"))
             for line in _local_sibling_imports(ast.parse(path.read_text()))]
     assert hits == []
+
+
+# each module imports siblings only from earlier layers; __init__ is exempt
+LAYERS = [{"specfun", "lattice"}, {"epstein"}, {"eisenstein"},
+          {"hamiltonian", "spectral"}, {"acceptance"}, {"cli"}]
+
+
+def _sibling_imports(tree: ast.Module) -> set[str]:
+    """The zetalab modules a module imports, relative or absolute."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            found |= {node.module} if node.module else {a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("zetalab"):
+            found |= {node.module.split(".")[1]} if "." in node.module else \
+                {a.name for a in node.names}
+        elif isinstance(node, ast.Import):
+            found |= {a.name.split(".")[1] for a in node.names
+                      if a.name.startswith("zetalab.")}
+    return found
+
+
+def _layer_breaks(trees: dict[str, ast.Module]) -> list[str]:
+    layer = {m: i for i, group in enumerate(LAYERS) for m in group}
+    return [f"{module} imports {dep}" for module, tree in trees.items()
+            for dep in sorted(_sibling_imports(tree))
+            if layer.get(dep, len(LAYERS)) >= layer.get(module, -1)]
+
+
+def test_imports_follow_the_layers():
+    probe = ast.parse("from . import epstein, lattice\nfrom .cli import main\n"
+                      "import zetalab.eisenstein\nfrom zetalab import specfun\n")
+    assert _sibling_imports(probe) == {"epstein", "lattice", "cli", "eisenstein", "specfun"}
+    assert _layer_breaks({"epstein": probe}) == [
+        "epstein imports cli", "epstein imports eisenstein", "epstein imports epstein"]
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in sorted(SRC.glob("*.py")) if path.stem != "__init__"}
+    # a new module must be placed in a layer before it can import anything
+    assert set(trees) == set().union(*LAYERS)
+    assert _layer_breaks(trees) == []
 
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"

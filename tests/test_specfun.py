@@ -437,6 +437,49 @@ def test_eta_log_derivative_limits():
     assert abs(e2 - 3.0 / math.pi) < 1e-12
 
 
+def test_eta_log_derivative_modular_law():
+    # L = eta'/eta obeys L(gz) = (cz+d)^2 L(z) + c(cz+d)/2 for g in SL2(Z)
+    rng = np.random.default_rng(29)
+    S = np.array([[0, -1], [1, 0]])
+    for _ in range(40):
+        g = np.eye(2, dtype=int)
+        while True:
+            step = S if rng.random() < 0.5 else np.array([[1, rng.integers(-3, 4)], [0, 1]])
+            if np.abs(step @ g).max() > 50:
+                break
+            g = step @ g
+        (a, b), (c, d) = g
+        z = complex(rng.uniform(-1.0, 1.0), rng.uniform(0.05, 2.0))
+        j = c * z + d
+        lhs = complex(specfun.eta_log_derivative((a * z + b) / j))
+        rhs = j * j * complex(specfun.eta_log_derivative(z)) + 0.5 * c * j
+        assert abs(lhs - rhs) <= 1e-11 * max(abs(lhs), abs(rhs), 1.0)
+
+
+def test_eta_deep_reduction():
+    # x = (sqrt 5 - 1)/2 has continued fraction [0; 1, 1, ...]: at y = 1e-300
+    # the reduction takes 207 steps.  |eta(z)| y^{1/4} is SL2(Z)-invariant,
+    # so it equals the raw q-product's value at the reduced point.
+    z = complex((math.sqrt(5.0) - 1.0) / 2.0, 1e-300)
+    w, steps = z, 0
+    while True:
+        w -= round(w.real)
+        if abs(w) >= 1.0 - 1e-15:
+            break
+        w, steps = -1.0 / w, steps + 1
+    assert steps > 200
+    invariant = abs(complex(specfun.dedekind_eta(z))) * z.imag ** 0.25
+    target = abs(_eta_oracle(w)) * w.imag ** 0.25
+    assert abs(invariant - target) <= 1e-10 * target
+
+
+def test_eta_reduction_cap_raises(monkeypatch):
+    monkeypatch.setattr(specfun, "_ETA_STEPS", 0)
+    for f in (specfun.dedekind_eta, specfun.eta_log_derivative):
+        with pytest.raises(specfun.NonConvergenceError):
+            f(0.3 + 1.2j)
+
+
 # ---------------------------------------------------------------------------
 # psi = arg xi(1 + 2it)
 # ---------------------------------------------------------------------------
