@@ -8,7 +8,9 @@ Everything here is double precision with explicit truncation control:
   series stays accurate on tall vertical lines (|Im s| up to ~1200) and a
   batch value equals the scalar value bit for bit.
 * ``upper_incomplete_gamma`` -- Legendre continued fraction spliced with the
-  lower-gamma power series; one array kernel for one x or many.
+  lower-gamma power series; one array kernel for one x or many, in which
+  each x stops at its own step, so a batch value equals the scalar value
+  bit for bit.
 * ``dirichlet_L`` -- Hurwitz-zeta decomposition for the small odd fundamental
   discriminants used by the imaginary-quadratic experiments.
 * ``bessel_K`` -- trapezoidal quadrature of the integral
@@ -25,7 +27,8 @@ scalar, an array an array of its shape.  It covers ``log_gamma``, ``digamma``,
 ``bessel_K`` (in z), ``eisenstein.c_scattering`` (``complex``), ``psi_xi``
 and ``spectral.hardy_rotation_zeta``/``_L`` (``float``).  The incomplete gamma
 and ``bessel_K`` raise ValueError unless every x or z is real, finite and
-positive.
+positive, and :class:`NonConvergenceError` if any x or z is still open at
+its cap (``_CF_STEPS``, ``_SERIES_TERMS``, ``_BESSEL_STEPS``).
 """
 
 from __future__ import annotations
@@ -79,6 +82,9 @@ _BERNOULLI = [
 _STIRLING_RADIUS = 25.0
 _TWO_PI = 2.0 * math.pi
 _TOL = 1e-13  # relative stop of the incomplete gamma and K-Bessel iterations
+_CF_STEPS = 300  # Gamma(s, x) continued-fraction steps per x
+_SERIES_TERMS = 500  # lower-gamma series terms per x
+_BESSEL_STEPS = 14  # K-Bessel step sizes h = 1/2 .. 2^-14 per z
 _PSI_T_MIN, _PSI_STEP = 1e-3, 0.05  # start and grid step of a psi sample
 _ETA_TERMS = 64  # q-loop length; |q| <= e^{-pi sqrt 3} at a reduced point
 _ETA_STEPS = 1000  # eta reduction steps; 20,000 random z with y down to 1e-323 took < 250
@@ -400,43 +406,27 @@ def regularized_upper_gamma_array(s: complex, xs: np.ndarray) -> np.ndarray:
 
 def _upper_gamma(s: complex, xs) -> np.ndarray:
     xs, use_cf = _cf_side(s, xs)
+    if s.real <= 0.5 and abs(s - round(s.real)) < 1e-8:
+        use_cf[:] = True  # near a Gamma pole the splice cancels badly; the CF stays valid
     out = np.empty(xs.shape, dtype=complex)
-    if use_cf.any():
-        out[use_cf] = _upper_gamma_cf_vec(s, xs[use_cf])
-    rest = ~use_cf
-    if rest.any():
-        out[rest] = _upper_gamma_small_x(s, xs[rest].tolist())
+    out[use_cf] = _upper_gamma_cf_vec(s, xs[use_cf])
+    if not use_cf.all():  # the lift divides by s: never call it at a pole
+        out[~use_cf] = _upper_gamma_small_x(s, xs[~use_cf])
     return out
 
 
-def _upper_gamma_small_x(s: complex, xs: list) -> list:
-    """Gamma(s, x) for each x of a list with 0 < x < |s| + 1 and x < 40.
+def _upper_gamma_small_x(s: complex, xs: np.ndarray) -> np.ndarray:
+    """Gamma(s, x) for 0 < x < |s| + 1, x < 40, from the lower-gamma series.
 
-    Everything that depends on s alone is computed once for the whole list.
+    Re s is lifted above 0.5 by Gamma(s, x) = (Gamma(s+1, x) - x^s e^{-x})/s,
+    carried as Gamma(s, x) = coeff Gamma(s0, x) + shift.
     """
-    if s.real <= 0.5 and abs(s - round(s.real)) < 1e-8:
-        # near a Gamma pole the splice cancels badly; the CF stays valid.  One
-        # x at a time, as the CF of a batch runs until its slowest x converges
-        return [_upper_gamma_cf_vec(s, np.array([x]))[0] for x in xs]
-    # lift Re s above 0.5 with Gamma(s,x) = (Gamma(s+1,x) - x^s e^{-x})/s,
-    # maintaining Gamma(s,x) = coeff*Gamma(s0,x) + shift, where shift is
-    # -sum_k c_k x^{s_k} e^{-x} over the lift steps (c_k, s_k)
-    coeff = 1.0 + 0.0j
-    steps = []
-    s0 = s
+    coeff, shift, s0 = 1.0 + 0.0j, np.zeros(xs.shape, dtype=complex), s
     while s0.real <= 0.5:
         coeff = coeff / s0
-        steps.append((coeff, s0))
+        shift = shift - coeff * np.exp(s0 * np.log(xs) - xs)
         s0 += 1.0
-    gamma_full = cmath.exp(log_gamma(s0))
-    out = []
-    for x in xs:
-        shift = 0.0 + 0.0j
-        for c, sk in steps:
-            shift = shift - c * cmath.exp(sk * math.log(x) - x)
-        lower = _lower_gamma_series(s0, x)
-        out.append(coeff * (gamma_full - lower) + shift)
-    return out
+    return coeff * (cmath.exp(log_gamma(s0)) - _lower_gamma_series(s0, xs)) + shift
 
 
 def lower_incomplete_gamma(s, x: float) -> complex:
@@ -447,27 +437,41 @@ def lower_incomplete_gamma(s, x: float) -> complex:
         raise ValueError("lower_incomplete_gamma requires Re s > 0")
     if use_cf[0]:
         return complex(cmath.exp(log_gamma(s)) - _upper_gamma_cf_vec(s, xs)[0])
-    return _lower_gamma_series(s, float(xs[0]))
+    return complex(_lower_gamma_series(s, xs)[0])
 
 
-def _lower_gamma_series(s: complex, x: float) -> complex:
-    term = 1.0 / s
+def _lower_gamma_series(s: complex, xs: np.ndarray) -> np.ndarray:
+    """gamma(s, x) = x^s e^{-x} sum_n x^n / (s (s+1) .. (s+n)), each x to its own term;
+    32 terms at a time, as running products and sums along each x's own row."""
+    out = np.empty(xs.shape, dtype=complex)
+    todo, term = np.arange(xs.size), np.full(xs.shape, 1.0 / s)  # the x still open
     total = term
-    n = 0
-    while abs(term) > _TOL * abs(total) and n < 500:
-        n += 1
-        term *= x / (s + n)
-        total += term
-    return total * cmath.exp(s * math.log(x) - x)
+    for n in range(1, _SERIES_TERMS + 1, 32):
+        if not todo.size:
+            break
+        ratios = xs[todo, None] / (s + np.arange(n, min(n + 32, _SERIES_TERMS + 1)))
+        terms = np.multiply.accumulate(np.column_stack([term, ratios]), axis=1)[:, 1:]
+        sums = np.add.accumulate(np.column_stack([total, terms]), axis=1)[:, 1:]
+        done = np.abs(terms) <= _TOL * np.abs(sums)
+        hit = done.any(axis=1)
+        out[todo[hit]] = sums[hit, done[hit].argmax(axis=1)]
+        todo, term, total = todo[~hit], terms[~hit, -1], sums[~hit, -1]
+    if todo.size:
+        raise NonConvergenceError(f"gamma({s}, {xs[todo[0]]}): open after {_SERIES_TERMS} terms")
+    return out * np.exp(s * np.log(xs) - xs)
 
 
 def _upper_gamma_cf_vec(s: complex, xs: np.ndarray) -> np.ndarray:
+    """Legendre's continued fraction (modified Lentz), each x to its own step."""
     tiny = 1e-290
-    b = xs + 1.0 - s
+    out = np.empty(xs.shape, dtype=complex)
+    todo, b = np.arange(xs.size), xs + 1.0 - s  # the x still open
     c = np.full(xs.shape, 1.0 / tiny, dtype=complex)
     d = 1.0 / np.where(b == 0, tiny, b)
-    f = d.copy()
-    for n in range(1, 300):
+    f = d
+    for n in range(1, _CF_STEPS + 1):
+        if not todo.size:
+            break
         an = -n * (n - s)
         b = b + 2.0
         d = an * d + b
@@ -476,10 +480,14 @@ def _upper_gamma_cf_vec(s: complex, xs: np.ndarray) -> np.ndarray:
         c = np.where(c == 0, tiny, c)
         d = 1.0 / d
         delta = d * c
-        f *= delta
-        if np.max(np.abs(delta - 1.0)) < _TOL:
-            break
-    return np.exp(s * np.log(xs) - xs) * f
+        f = f * delta  # out of place: numpy's in-place *= may round one x unlike a batch
+        done = np.abs(delta - 1.0) < _TOL
+        if done.any():
+            out[todo[done]], keep = f[done], ~done
+            todo, b, c, d, f = todo[keep], b[keep], c[keep], d[keep], f[keep]
+    if todo.size:
+        raise NonConvergenceError(f"Gamma({s}, {xs[todo[0]]}): open after {_CF_STEPS} steps")
+    return np.exp(s * np.log(xs) - xs) * out
 
 
 # ---------------------------------------------------------------------------
@@ -516,8 +524,10 @@ def _bessel_K_of_z(z, nu: complex):
     # 256 z per pass bound the grid arrays of a long batch
     for lo in range(0, z.size, 256):
         todo = np.arange(lo, min(lo + 256, z.size))  # the z still halving h
-        h = 0.5
-        while todo.size and h >= 0.5 ** 14:  # at most 14 step sizes
+        for k in range(1, _BESSEL_STEPS + 1):
+            if not todo.size:
+                break
+            h = 0.5 ** k
             rows = (v_max[todo] / h).astype(int) + 2  # a leading 0, then v = 0, h, .., v_max
             first = np.cumsum(rows) - rows
             v = h * (np.arange(rows.sum()) - np.repeat(first + 1, rows))
@@ -527,7 +537,8 @@ def _bessel_K_of_z(z, nu: complex):
             done = np.abs(total - out[todo]) <= _TOL * np.abs(total) + 1e-300
             out[todo] = total
             todo = todo[~done]
-            h *= 0.5
+        if todo.size:
+            raise NonConvergenceError(f"K_{nu}({z[todo[0]]}): open after {_BESSEL_STEPS} steps")
     return out
 
 

@@ -278,8 +278,7 @@ def test_regularized_upper_gamma_array():
     xs = np.array([0.3, 1.0, 4.0, 12.0, 40.0])
     vec = specfun.regularized_upper_gamma_array(s, xs)
     for i, x in enumerate(xs):
-        direct = specfun.upper_incomplete_gamma(s, float(x))
-        assert abs(vec[i] - direct) < 1e-12
+        assert vec[i] == specfun.upper_incomplete_gamma(s, float(x))
 
 
 def test_regularized_upper_gamma_array_real_s():
@@ -291,32 +290,55 @@ def test_regularized_upper_gamma_array_real_s():
         assert real.tobytes() == specfun.regularized_upper_gamma_array(complex(s), xs).tobytes()
 
 
-def _upper_gamma_lift_per_x(s: complex, x: float) -> complex:
-    """Reference: the small-x splice with the whole lift redone for one x."""
-    if s.real <= 0.5 and abs(s - round(s.real)) < 1e-8:
-        return specfun._upper_gamma_cf_vec(s, np.array([x]))[0]
-    coeff = 1.0 + 0.0j
-    shift = 0.0 + 0.0j
-    s0 = s
-    while s0.real <= 0.5:
-        coeff = coeff / s0
-        shift = shift - coeff * cmath.exp(s0 * math.log(x) - x)
-        s0 += 1.0
-    gamma_full = cmath.exp(specfun.log_gamma(s0))
-    lower = specfun._lower_gamma_series(s0, x)
-    return coeff * (gamma_full - lower) + shift
+_GAMMA_BATCHES = [(1.5 - 2.0j, 0.01),                     # no lift
+                  (-0.7 + 0.3j, 0.01), (-2.4 + 1.0j, 0.01),  # lift loop
+                  (-1.0 + 1e-9 + 0j, 0.2)]  # near the pole: every x on the CF, open below 0.2
 
 
-@pytest.mark.parametrize("s", [1.5 - 2.0j,            # no lift
-                               -0.7 + 0.3j, -2.4 + 1.0j,  # lift loop
-                               -1.0 + 1e-9 + 0.0j])       # near the pole: CF branch
-def test_upper_gamma_small_x_bit_for_bit(s):
-    # the per-s work is shared across every x < |s| + 1 of a call; the
-    # values must not move by a bit against redoing it for each x
-    xs = np.linspace(0.01, abs(s) + 1.0, 50, endpoint=False).tolist()
-    reference = [_upper_gamma_lift_per_x(s, x) for x in xs]
-    assert [specfun.upper_incomplete_gamma(s, x) for x in xs] == reference
-    assert specfun.regularized_upper_gamma_array(s, np.array(xs)).tolist() == reference
+@pytest.mark.parametrize("s, x_min", _GAMMA_BATCHES, ids=[str(c[0]) for c in _GAMMA_BATCHES])
+def test_upper_gamma_batch_equals_one_x_calls(s, x_min):
+    # each x of the continued fraction and of the series stops at its own
+    # step, on both sides of the x >= |s| + 1 split, so a batch and any
+    # sub-batch of it give the one-x values bit for bit
+    xs = np.geomspace(x_min, 45.0, 120)
+    batch = specfun.regularized_upper_gamma_array(s, xs)
+    one = np.array([specfun.upper_incomplete_gamma(s, x) for x in xs])
+    assert batch.tobytes() == one.tobytes()
+    assert specfun.regularized_upper_gamma_array(s, xs[::-3]).tobytes() == batch[::-3].tobytes()
+
+
+@pytest.mark.parametrize("nu", [0.5, 1.0, 0.3 + 0.2j])
+def test_bessel_K_batch_equals_one_z_calls(nu):
+    # each z keeps its own cut-off and its own step halvings
+    z = np.geomspace(0.01, 60.0, 100)
+    batch = specfun.bessel_K(nu, z)
+    one = np.array([specfun.bessel_K(nu, float(v)) for v in z])
+    assert batch.tobytes() == one.tobytes()
+    assert specfun.bessel_K(nu, z[::-3]).tobytes() == batch[::-3].tobytes()
+
+
+@pytest.mark.parametrize("cap, call", [
+    ("_CF_STEPS", lambda: specfun.upper_incomplete_gamma(1.5, 5.0)),
+    ("_SERIES_TERMS", lambda: specfun.lower_incomplete_gamma(1.5, 1.0)),
+    ("_BESSEL_STEPS", lambda: specfun.bessel_K(0.5, 1.0)),
+], ids=["cf", "series", "bessel_K"])
+def test_iteration_cap_raises(monkeypatch, cap, call):
+    monkeypatch.setattr(specfun, cap, 1)
+    with pytest.raises(specfun.NonConvergenceError):
+        call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: specfun.upper_incomplete_gamma(-1.0 + 1e-9, 0.01),
+    lambda: specfun.upper_incomplete_gamma(1e-9, 0.01),
+    lambda: specfun.bessel_K(30j, 1.0),
+], ids=["gamma_near_-1", "gamma_near_0", "bessel_K_30i"])
+def test_raises_where_the_cap_returned_a_wrong_value(call):
+    # ROADMAP item 1: the CF near a Gamma pole at small x (the old values were
+    # off by 8.0e-5 and 1.4e-3), and the cancelling K-Bessel sum at imaginary
+    # order (2.76e-18 where K_{30i}(1) = -9.19e-22), reach their caps
+    with pytest.raises(specfun.NonConvergenceError):
+        call()
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the lift toward the pole at s = -2 "
